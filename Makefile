@@ -1,4 +1,4 @@
-.PHONY: all build test check obs-check torture-check stress-check fmt fmt-check bench bench-smoke matrix matrix-baseline matrix-check serve soak-check ci clean
+.PHONY: all build test check obs-check torture-check stress-check perfbench-check fmt fmt-check bench bench-smoke matrix matrix-baseline matrix-check serve soak-check ci clean
 
 all: build
 
@@ -54,11 +54,19 @@ torture-check: build
 # Parallel-select stress: 4 reader domains of parallel selects racing
 # interleaved committed/aborted write batches on the main domain, with a
 # torn-read oracle (any inconsistent snapshot surfaces as a row where
-# A <> B) and exact resolve-cache accounting (lookups = hits + misses).
-# The differential oracle itself (select ~jobs:1 == ~jobs:4 over 200+
-# random schemas) runs inside `make test` as the par-diff suite.
+# A <> B), exact resolve-cache accounting (lookups = hits + misses), and
+# a check that the readers really caught plan state up by delta
+# concurrently.  A race there shows in some 2 s runs and not others, so
+# the driver runs three times.  The differential oracle itself (select
+# ~jobs:1 == ~jobs:4 over 200+ random schemas) runs inside `make test`
+# as the par-diff suite.
 stress-check: build
-	dune exec test/test_par_stress.exe
+	for i in 1 2 3; do dune exec test/test_par_stress.exe || exit 1; done
+
+# The benchmark's own tests (percentile, window and probe-selection
+# vectors, plus a tiny smoke run of every workload in both modes).
+perfbench-check: build
+	dune build @perfbench/check
 
 # ocamlformat is optional in the build environment; format when it is
 # available, otherwise say so and succeed.
@@ -167,7 +175,7 @@ soak-check: build
 
 # Mirrors .github/workflows/ci.yml so the pipeline is reproducible
 # locally with one command.
-ci: build test fmt-check obs-check torture-check stress-check bench-smoke matrix-check soak-check
+ci: build test perfbench-check fmt-check obs-check torture-check stress-check bench-smoke matrix-check soak-check
 
 clean:
 	dune clean

@@ -74,29 +74,18 @@ let compact_min = ref 64
 let set_compact_min n = compact_min := max 1 n
 
 (* ------------------------------------------------------------------ *)
-(* Per-store state, stamped against the mutation epoch AND the resolve-
-   cache generation.  A stale stamp no longer means "throw everything
-   away": the store's change log names what moved, and the registry and
-   each column catch up by applying exactly those records.  Only a lost
-   window (log overflow), a [Ch_global] record, or a generation bump the
-   log cannot explain forces the old wholesale rebuild. *)
-
-type stamp = { st_epoch : int; st_gen : int }
-
-let current_stamp store =
-  {
-    st_epoch = Store.plan_epoch store;
-    st_gen = Resolve_cache.generation (Store.resolve_cache store);
-  }
-
-let stamp_equal a b = a.st_epoch = b.st_epoch && a.st_gen = b.st_gen
+(* Per-store state, stamped with the mutation epoch it was derived at.
+   Every data mutation advances the epoch and logs one change record, so
+   a stale stamp means "catch up": the registry and each column apply
+   exactly the records since their stamp.  Only a window the sliding log
+   no longer holds or a [Ch_global] record forces a wholesale rebuild. *)
 
 (* the relationship graph flattened: one dense slot per entity, the
    transmitter edge as an int index (-1 unbound, -2 dangling, -3 dead).
    Deletions tombstone their slot in place; appends grow the arrays by
    doubling; compaction squeezes tombstones out preserving slot order. *)
 type registry = {
-  mutable reg_stamp : stamp;
+  mutable reg_stamp : int;  (* plan epoch *)
   reg_ids : int Surrogate.Tbl.t;  (* surrogate -> live slot *)
   mutable reg_ents : Store.entity array;  (* slot -> entity record *)
   mutable reg_trans : int array;  (* slot -> transmitter slot *)
@@ -136,10 +125,11 @@ type state = {
   s_columns : (string * string, column) Hashtbl.t;  (* (cls, spec key) *)
   s_decisions : (string * string, decision) Hashtbl.t;  (* (type, attr) *)
   s_lock : Mutex.t;  (* guards s_decisions during parallel column fills *)
+  s_catchup : Mutex.t;  (* serializes readers bringing the state current *)
 }
 
 and column = {
-  mutable col_stamp : stamp;
+  mutable col_stamp : int;  (* plan epoch *)
   col_cls : string;
   col_spec : colspec;
   mutable col_members : Surrogate.t array;  (* extent snapshot, class order *)
@@ -153,7 +143,11 @@ and column = {
 
 type Store.plan_slot += Slot of state
 
+(* readers sharing the store's read latch may race to create the slot *)
+let slot_lock = Mutex.create ()
+
 let state_of store =
+  Mutex.protect slot_lock @@ fun () ->
   match Store.plan_slot store with
   | Some (Slot st) -> st
   | Some _ | None ->
@@ -163,6 +157,7 @@ let state_of store =
           s_columns = Hashtbl.create 16;
           s_decisions = Hashtbl.create 64;
           s_lock = Mutex.create ();
+          s_catchup = Mutex.create ();
         }
       in
       Store.set_plan_slot store (Slot st);
@@ -305,10 +300,10 @@ let window_clean = List.for_all (function Store.Ch_global -> false | _ -> true)
 
 let registry_of store st stamp =
   match st.s_registry with
-  | Some reg when stamp_equal reg.reg_stamp stamp -> reg
+  | Some reg when reg.reg_stamp = stamp -> reg
   | Some reg when delta_enabled () -> (
-      match Store.changes_since store reg.reg_stamp.st_epoch with
-      | Some ((_ :: _) as chs) when window_clean chs -> (
+      match Store.changes_since store reg.reg_stamp with
+      | Some chs when window_clean chs -> (
           match List.iter (reg_apply store reg) chs with
           | () ->
               Obs.incr m_delta_apply;
@@ -323,9 +318,8 @@ let registry_of store st stamp =
           | exception Rebuild ->
               Obs.incr m_delta_rebuild;
               rebuild_registry store st stamp)
-      | Some [] | Some _ | None ->
-          (* an epoch-less generation bump, a global record, or a window
-             lost to log overflow: the delta cannot be trusted *)
+      | Some _ | None ->
+          (* a global record, or a window the log no longer holds *)
           Obs.incr m_delta_rebuild;
           rebuild_registry store st stamp)
   | Some _ | None -> rebuild_registry store st stamp
@@ -608,12 +602,12 @@ let column_of store st reg ~cls ~spec members stamp ~jobs =
     (c, true)
   in
   match Hashtbl.find_opt st.s_columns key with
-  | Some c when spec_equal c.col_spec spec && stamp_equal c.col_stamp stamp ->
+  | Some c when spec_equal c.col_spec spec && c.col_stamp = stamp ->
       Obs.incr m_col_hit;
       (c, false)
   | Some c when spec_equal c.col_spec spec && delta_enabled () -> (
-      match Store.changes_since store c.col_stamp.st_epoch with
-      | Some ((_ :: _) as chs) when window_clean chs -> (
+      match Store.changes_since store c.col_stamp with
+      | Some chs when window_clean chs -> (
           match apply_column_delta store st reg c members stamp chs with
           | () ->
               Obs.incr m_col_hit;
@@ -621,7 +615,7 @@ let column_of store st reg ~cls ~spec members stamp ~jobs =
           | exception Col_rebuild ->
               Obs.incr m_delta_rebuild;
               rebuild ())
-      | Some [] | Some _ | None ->
+      | Some _ | None ->
           Obs.incr m_delta_rebuild;
           rebuild ())
   | Some _ | None -> rebuild ()
@@ -787,19 +781,24 @@ let try_scan store ~cls ~jobs expr =
             None
         | Some program ->
             let st = state_of store in
-            let stamp = current_stamp store in
-            let reg = registry_of store st stamp in
+            let stamp = Store.plan_epoch store in
             let specs = Array.of_list (List.rev !slots) in
             let built = Array.make (Array.length specs) false in
-            let cols =
-              Array.mapi
-                (fun i spec ->
-                  let c, b =
-                    column_of store st reg ~cls ~spec members stamp ~jobs
-                  in
-                  built.(i) <- b;
-                  c)
-                specs
+            (* readers under one read latch see one store state, but the
+               catch-up patches shared structures: one reader at a time;
+               the scan below only reads them *)
+            let reg, cols =
+              Mutex.protect st.s_catchup @@ fun () ->
+              let reg = registry_of store st stamp in
+              ( reg,
+                Array.mapi
+                  (fun i spec ->
+                    let c, b =
+                      column_of store st reg ~cls ~spec members stamp ~jobs
+                    in
+                    built.(i) <- b;
+                    c)
+                  specs )
             in
             let ctx = { cc_cols = cols } in
             let test i =
@@ -819,7 +818,7 @@ let try_scan store ~cls ~jobs expr =
               Array.to_list
                 (Array.mapi
                    (fun i spec ->
-                     (spec_label spec, stamp.st_epoch, built.(i)))
+                     (spec_label spec, stamp, built.(i)))
                    specs)
             in
             Some
@@ -856,9 +855,9 @@ let self_check store =
       let report fmt =
         Printf.ksprintf (fun s -> problems := s :: !problems) fmt
       in
-      let stamp = current_stamp store in
+      let stamp = Store.plan_epoch store in
       (match st.s_registry with
-      | Some reg when stamp_equal reg.reg_stamp stamp ->
+      | Some reg when reg.reg_stamp = stamp ->
           let live = ref 0 in
           for i = 0 to reg.reg_len - 1 do
             if reg.reg_trans.(i) <> -3 then begin
@@ -891,7 +890,7 @@ let self_check store =
           let schema = Store.schema store in
           Hashtbl.iter
             (fun (cls, _) col ->
-              if stamp_equal col.col_stamp stamp then
+              if col.col_stamp = stamp then
                 match Store.class_members store cls with
                 | Error _ ->
                     report "column %s/%s over unknown class" cls

@@ -12,14 +12,13 @@
     {ol
     {- {b Adjacency registry}: the relationship graph flattened into
        dense arrays — one slot per entity, transmitter edges as [int]
-       indexes — stamped with the store's {!Store.plan_epoch} {e and}
-       the resolve-cache generation.  A stale stamp is caught up by
-       replaying {!Store.changes_since}: deletions tombstone their slot
-       (compacted past a threshold, preserving slot order), creations
-       append, rebinds re-derive the edge.  Only a lost window, a
-       {!Store.Ch_global} record, or an epoch-less generation bump
-       forces the old wholesale rebuild (counted in
-       [plan.delta.rebuild]).}
+       indexes — stamped with the store's {!Store.plan_epoch}.  A stale
+       stamp is caught up by replaying {!Store.changes_since}: deletions
+       tombstone their slot (compacted past a threshold, preserving slot
+       order), creations append, rebinds re-derive the edge.  Only a
+       window the sliding change log no longer holds or a
+       {!Store.Ch_global} record forces the wholesale rebuild (counted
+       in [plan.delta.rebuild]).}
     {- {b Closure compilation}: a predicate compiles to an array of
        closures once per query instead of being re-interpreted once per
        row.  Coercions go through {!Eval.numeric_binop} /
@@ -42,7 +41,11 @@
 
     The compiled path stands down while read hooks are installed: hooks
     carry the per-hop notifications the transaction layer turns into
-    lock inheritance, and a column scan performs no hops. *)
+    lock inheritance, and a column scan performs no hops.
+
+    Readers sharing the store's read latch bring the shared state up to
+    date one at a time (a per-store catch-up mutex); the scan itself
+    runs outside it. *)
 
 type report = {
   rp_closures : int;  (** closures in the compiled predicate program *)

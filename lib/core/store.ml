@@ -67,12 +67,10 @@ type t = {
      signal on its own *)
   mutable plan_epoch : int;
   mutable plan_slot : plan_slot option;
-  (* bounded change log: newest first, covering exactly the epoch window
-     (change_floor, plan_epoch]; length = plan_epoch - change_floor.  On
-     overflow the window restarts at the current epoch, and
-     [changes_since] answers [None] for anything older. *)
-  mutable change_log : change list;
-  mutable change_floor : int;
+  (* change log: a ring holding the record of the bump to epoch [e] in
+     slot [e mod change_log_cap], so it always covers the sliding window
+     (plan_epoch - change_log_cap, plan_epoch] *)
+  change_log : change array;
 }
 
 type hook_id = int
@@ -89,6 +87,8 @@ let m_delete = Obs.counter "store.entity.delete"
 let m_attr_read = Obs.counter "store.attr.read"
 let m_attr_write = Obs.counter "store.attr.write"
 
+let change_log_cap = 512
+
 let create schema =
   {
     schema;
@@ -104,8 +104,7 @@ let create schema =
     next_hook = 1;
     plan_epoch = 0;
     plan_slot = None;
-    change_log = [];
-    change_floor = 0;
+    change_log = Array.make change_log_cap Ch_global;
   }
 
 let schema t = t.schema
@@ -113,27 +112,18 @@ let plan_epoch t = t.plan_epoch
 let plan_slot t = t.plan_slot
 let set_plan_slot t slot = t.plan_slot <- Some slot
 
-let change_log_cap = 512
-
 (* the only place the plan epoch advances: one change record per bump *)
 let record_change t ch =
   t.plan_epoch <- t.plan_epoch + 1;
-  if t.plan_epoch - t.change_floor > change_log_cap then begin
-    t.change_log <- [ ch ];
-    t.change_floor <- t.plan_epoch - 1
-  end
-  else t.change_log <- ch :: t.change_log
+  t.change_log.(t.plan_epoch mod change_log_cap) <- ch
 
 let changes_since t since =
-  if since < t.change_floor then None
-  else if since > t.plan_epoch then None
+  if since < 0 || since > t.plan_epoch || t.plan_epoch - since > change_log_cap
+  then None
   else
-    let rec take n acc = function
-      | _ when n = 0 -> Some acc
-      | [] -> None (* length invariant broken; refuse to guess *)
-      | ch :: rest -> take (n - 1) (ch :: acc) rest
-    in
-    take (t.plan_epoch - since) [] t.change_log
+    Some
+      (List.init (t.plan_epoch - since) (fun i ->
+           t.change_log.((since + 1 + i) mod change_log_cap)))
 
 (* ------------------------------------------------------------------ *)
 (* Latching: every mutator below runs [exclusively]; a parallel select

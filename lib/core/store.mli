@@ -54,12 +54,12 @@ val schema : t -> Schema.t
     participant changes, deletes, class-extent changes, schema
     evolution, restores.
 
-    Since the delta-maintenance rework, a stale stamp no longer means
-    "rebuild everything": every bump appends one typed {!change} record
-    to a bounded log, and {!changes_since} hands a consumer the exact
-    window between its recorded epoch and now.  Only when the window has
-    been lost (overflow) or contains {!Ch_global} must the consumer fall
-    back to a full rebuild. *)
+    A stale stamp does not mean "rebuild everything": every bump
+    writes one typed {!change} record into a sliding window over the
+    last {!change_log_cap} records, and {!changes_since} hands a
+    consumer the exact records between its recorded epoch and now.  Only
+    a consumer more than {!change_log_cap} records behind, or a window
+    containing {!Ch_global}, must fall back to a full rebuild. *)
 
 val plan_epoch : t -> int
 (** Current mutation stamp.  Plan state recorded under an older epoch is
@@ -87,14 +87,16 @@ type change =
 
 val changes_since : t -> int -> change list option
 (** [changes_since t e] is the in-order change window covering epochs
-    [(e, plan_epoch t]] — [Some []] when already current — or [None]
-    when the bounded log no longer reaches back to [e] (the caller must
-    treat its state as arbitrarily stale and rebuild). *)
+    [(e, plan_epoch t]] — [Some []] when already current.  It is [None]
+    exactly when [e] is negative, later than [plan_epoch t], or more
+    than {!change_log_cap} records back (the caller must treat its state
+    as arbitrarily stale and rebuild). *)
 
 val change_log_cap : int
-(** Retention bound of the change log, in records.  Mutation bursts
-    longer than this between two consumers' catch-ups force those
-    consumers into a full rebuild. *)
+(** Width of the change log's sliding window, in records: it always
+    holds the last [change_log_cap] records, so a consumer that catches
+    up at least once every [change_log_cap] mutations never loses its
+    window. *)
 
 type plan_slot = ..
 (** Opaque per-store slot for compiled-plan state; {!Plan} injects its
@@ -153,9 +155,9 @@ val set_resolve_cache_enabled : t -> bool -> unit
     default instead, see {!Resolve_cache.set_default_enabled}). *)
 
 val invalidate_resolve_cache : t -> unit
-(** Global generation bump: drop every memoised resolution.  Exposed for
-    layers whose mutations bypass the store's write paths (transaction
-    abort, schema evolution). *)
+(** Global generation bump: drop every memoised resolution, and log
+    {!Ch_global}.  Exposed for layers whose mutations bypass the store's
+    write paths (schema evolution). *)
 
 (** {1 Hooks}
 

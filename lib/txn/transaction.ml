@@ -84,15 +84,12 @@ let abort mg txn =
   Log.info (fun m ->
       m "abort transaction %d (%d undo entries)" txn.txn_id
         (List.length txn.txn_undo));
-  (* undo entries were prepended, so the list runs newest-first *)
+  (* undo entries were prepended, so the list runs newest-first; each
+     goes back through a store mutator, which logs its own precise change
+     record and drops exactly the resolve-cache entries it stales *)
   List.iter (fun undo -> undo ()) txn.txn_undo;
   txn.txn_undo <- [];
   txn.txn_stamps <- [];
-  (* roll the resolve-cache generation forward: a plain read between this
-     transaction's write and its abort may have memoised a value the undo
-     just took back, and scoped bumps cannot be trusted to cover every
-     side effect of the undo closures *)
-  Store.invalidate_resolve_cache mg.mg_store;
   Lock_manager.release_all mg.mg_locks ~txn:txn.txn_id;
   txn.txn_status <- Aborted;
   Ok ()

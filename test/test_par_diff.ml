@@ -252,7 +252,44 @@ let rec random_pred_wide r depth =
 
 let surr = Surrogate.to_string
 
-let random_mutation r db levels script =
+(* The mutators a round draws from: the autocommit [Database] calls, or
+   the same steps inside one [Transaction] (which has no delete). *)
+type ops = {
+  set_attr : Surrogate.t -> string -> Value.t -> (unit, Errors.t) result;
+  unbind : Surrogate.t -> (unit, Errors.t) result;
+  bind :
+    via:string -> transmitter:Surrogate.t -> inheritor:Surrogate.t ->
+    (unit, Errors.t) result;
+  create :
+    ty:string -> attrs:(string * Value.t) list -> (Surrogate.t, Errors.t) result;
+  delete : (Surrogate.t -> (unit, Errors.t) result) option;
+}
+
+let db_ops db =
+  {
+    set_attr = Database.set_attr db;
+    unbind = Database.unbind db;
+    bind =
+      (fun ~via ~transmitter ~inheritor ->
+        Result.map ignore (Database.bind db ~via ~transmitter ~inheritor ()));
+    create = (fun ~ty ~attrs -> Database.new_object db ~cls:"Pop" ~ty ~attrs ());
+    delete = Some (Database.delete db ~force:true);
+  }
+
+let txn_ops mg txn =
+  let module Txn = Compo_txn.Transaction in
+  {
+    set_attr = Txn.set_attr mg txn;
+    unbind = Txn.unbind mg txn;
+    bind =
+      (fun ~via ~transmitter ~inheritor ->
+        Result.map ignore (Txn.bind mg txn ~via ~transmitter ~inheritor ()));
+    create =
+      (fun ~ty ~attrs -> Txn.new_object mg txn ~cls:"Pop" ~ty ~attrs ());
+    delete = None;
+  }
+
+let mutate ops r levels script =
   let log fmt = Printf.ksprintf (Buffer.add_string script) fmt in
   let tolerate what res =
     match res with
@@ -270,7 +307,13 @@ let random_mutation r db levels script =
     | ks -> Some (List.nth ks (rand r (List.length ks)))
   in
   let pick_member k = pick r (Array.of_list levels.(k)) in
-  match rand r 12 with
+  let bind s k =
+    let t = pick_member (k - 1) in
+    tolerate
+      (Printf.sprintf "bind %s via %s -> %s" (surr s) (rel (k - 1)) (surr t))
+      (ops.bind ~via:(rel (k - 1)) ~transmitter:t ~inheritor:s)
+  in
+  match rand r (match ops.delete with Some _ -> 12 | None -> 10) with
   | 0 | 1 | 2 | 3 -> (
       (* attribute write: the bread and butter of column deltas *)
       match pick_level (fun _ -> true) with
@@ -281,7 +324,7 @@ let random_mutation r db levels script =
           let v = rand r 20 in
           tolerate
             (Printf.sprintf "set %s.%s = %d" (surr s) attr v)
-            (Database.set_attr db s attr (Value.Int v)))
+            (ops.set_attr s attr (Value.Int v)))
   | 4 | 5 -> (
       (* re-point a level-0 reference: dirties second-segment chains *)
       match levels.(0) with
@@ -291,26 +334,15 @@ let random_mutation r db levels script =
           let target = pick r (Array.of_list (List.concat (Array.to_list levels))) in
           tolerate
             (Printf.sprintf "set %s.P = %s" (surr s) (surr target))
-            (Database.set_attr db s "P" (Value.Ref target)))
+            (ops.set_attr s "P" (Value.Ref target)))
   | 6 | 7 -> (
       (* disconnect, then usually reconnect elsewhere: Ch_rebound *)
       match pick_level (fun k -> k > 0) with
       | None -> ()
       | Some k ->
           let s = pick_member k in
-          tolerate
-            (Printf.sprintf "unbind %s" (surr s))
-            (Database.unbind db s);
-          if levels.(k - 1) <> [] && rand r 4 > 0 then
-            let t = pick_member (k - 1) in
-            tolerate
-              (Printf.sprintf "bind %s via %s -> %s" (surr s)
-                 (rel (k - 1))
-                 (surr t))
-              (Result.map
-                 (fun (_ : Surrogate.t) -> ())
-                 (Database.bind db ~via:(rel (k - 1)) ~transmitter:t
-                    ~inheritor:s ())))
+          tolerate (Printf.sprintf "unbind %s" (surr s)) (ops.unbind s);
+          if levels.(k - 1) <> [] && rand r 4 > 0 then bind s k)
   | 8 | 9 -> (
       (* grow the population: Ch_created + class membership *)
       match pick_level (fun k -> k = 0 || levels.(k - 1) <> []) with
@@ -325,33 +357,26 @@ let random_mutation r db levels script =
               ]
             else [ ("Local", Value.Int (rand r 20)) ]
           in
-          match Database.new_object db ~cls:"Pop" ~ty:(ty k) ~attrs () with
+          match ops.create ~ty:(ty k) ~attrs with
           | Error e -> log "create T%d -> %s\n" k (Errors.to_string e)
           | Ok s ->
               levels.(k) <- s :: levels.(k);
               log "create %s : T%d\n" (surr s) k;
-              if k > 0 then
-                let t = pick_member (k - 1) in
-                tolerate
-                  (Printf.sprintf "bind %s via %s -> %s" (surr s)
-                     (rel (k - 1))
-                     (surr t))
-                  (Result.map
-                     (fun (_ : Surrogate.t) -> ())
-                     (Database.bind db ~via:(rel (k - 1)) ~transmitter:t
-                        ~inheritor:s ()))))
+              if k > 0 then bind s k))
   | _ -> (
       (* shrink it: tombstones in the registry, realignment in columns *)
-      match pick_level (fun _ -> true) with
-      | None -> ()
-      | Some k -> (
+      match (ops.delete, pick_level (fun _ -> true)) with
+      | None, _ | _, None -> ()
+      | Some delete, Some k -> (
           let s = pick_member k in
-          match Database.delete db ~force:true s with
+          match delete s with
           | Ok () ->
               levels.(k) <-
                 List.filter (fun x -> not (Surrogate.equal x s)) levels.(k);
               log "delete %s\n" (surr s)
           | Error e -> log "delete %s -> %s\n" (surr s) (Errors.to_string e)))
+
+let random_mutation r db levels script = mutate (db_ops db) r levels script
 
 (* ------------------------------------------------------------------ *)
 (* One differential round.  On mismatch, report the seed and the plan
@@ -434,18 +459,51 @@ let test_differential () =
    (multi-segment paths, quantifiers); a failure reports the seed, the
    predicate and the full mutation script executed so far. *)
 
-let check_mutation_seed seed =
-  let r = make_rng seed in
+(* interpreted == compiled == parallel-compiled for one predicate; a
+   divergence reports the seed, the round and the mutation script *)
+let check_three_way ~seed ~round ~script db src =
+  let where = Some (ok (Compo_ddl.Parser.parse_expr src)) in
+  let run_with enabled jobs =
+    Plan.set_enabled enabled;
+    ok (Database.select db ~cls:"Pop" ~jobs ?where ())
+  in
+  let interp = run_with false 1 in
+  let seq = run_with true 1 in
+  let par = run_with true 4 in
+  let diff label a b =
+    if not (List.equal Surrogate.equal a b) then
+      Alcotest.failf
+        "seed %d round %s: %s rows differ for %s\n\
+         reference: %d row(s) [%s]\n\
+         other:     %d row(s) [%s]\n\
+         mutation script so far:\n\
+         %s"
+        seed round label src (List.length a)
+        (String.concat ", " (List.map Surrogate.to_string a))
+        (List.length b)
+        (String.concat ", " (List.map Surrogate.to_string b))
+        (Buffer.contents script)
+  in
+  diff "interpreted vs compiled" interp seq;
+  diff "compiled vs parallel-compiled" seq par
+
+(* one live database per seed: a population with its P references
+   seeded so multi-segment predicates resolve *)
+let mutation_db r =
   let db = Database.create () in
   let depth = ok (random_schema r db) in
   let _n, levels = ok (random_population ~cap:160 r db ~depth) in
-  (* seed the P references so multi-segment predicates resolve *)
   let all = List.concat (Array.to_list levels) in
   List.iter
     (fun s ->
       if rand r 2 = 0 then
         ok (Database.set_attr db s "P" (Value.Ref (pick r (Array.of_list all)))))
     levels.(0);
+  (db, levels)
+
+let check_mutation_seed seed =
+  let r = make_rng seed in
+  let db, levels = mutation_db r in
   let script = Buffer.create 256 in
   let plan0 = Plan.enabled () in
   Fun.protect ~finally:(fun () -> Plan.set_enabled plan0) @@ fun () ->
@@ -453,31 +511,8 @@ let check_mutation_seed seed =
     for _ = 0 to 2 + rand r 4 do
       random_mutation r db levels script
     done;
-    let src = random_pred_wide r 2 in
-    let where = Some (ok (Compo_ddl.Parser.parse_expr src)) in
-    let run_with enabled jobs =
-      Plan.set_enabled enabled;
-      ok (Database.select db ~cls:"Pop" ~jobs ?where ())
-    in
-    let interp = run_with false 1 in
-    let seq = run_with true 1 in
-    let par = run_with true 4 in
-    let diff label a b =
-      if not (List.equal Surrogate.equal a b) then
-        Alcotest.failf
-          "seed %d round %d: %s rows differ for %s\n\
-           reference: %d row(s) [%s]\n\
-           other:     %d row(s) [%s]\n\
-           mutation script so far:\n\
-           %s"
-          seed round label src (List.length a)
-          (String.concat ", " (List.map Surrogate.to_string a))
-          (List.length b)
-          (String.concat ", " (List.map Surrogate.to_string b))
-          (Buffer.contents script)
-    in
-    diff "interpreted vs compiled" interp seq;
-    diff "compiled vs parallel-compiled" seq par
+    check_three_way ~seed ~round:(string_of_int round) ~script db
+      (random_pred_wide r 2)
   done
 
 let test_mutation_interleaved () =
@@ -487,6 +522,66 @@ let test_mutation_interleaved () =
   done;
   Alcotest.(check bool)
     "compiled engine engaged under mutation" true
+    (Plan.compiled_scans () > scans0)
+
+(* ------------------------------------------------------------------ *)
+(* Transactional rounds: the same mutation engine, run inside one
+   [Transaction] per round (attribute writes, unbind/rebind, creates),
+   committed or — one round in three — aborted.  The 3-way check and
+   [Plan.self_check] run with the transaction still open and again after
+   it ends, so the delta path carries the plan state onto the uncommitted
+   state and back off it through the undo's change records.  20 seeds x
+   8 rounds; a failure reports the seed plus the mutation script. *)
+
+let check_txn_seed seed =
+  let module Txn = Compo_txn.Transaction in
+  let r = make_rng seed in
+  let db, levels = mutation_db r in
+  let mg = Txn.create_manager (Database.store db) in
+  let script = Buffer.create 256 in
+  let plan0 = Plan.enabled () in
+  Fun.protect ~finally:(fun () -> Plan.set_enabled plan0) @@ fun () ->
+  let check round =
+    check_three_way ~seed ~round ~script db (random_pred_wide r 2);
+    match Plan.self_check (Database.store db) with
+    | [] -> ()
+    | problems ->
+        Alcotest.failf
+          "seed %d round %s: delta state diverged from rebuild:\n%s\n\
+           mutation script so far:\n\
+           %s"
+          seed round
+          (String.concat "\n" problems)
+          (Buffer.contents script)
+  in
+  for round = 0 to 7 do
+    let txn = Txn.begin_txn mg ~user:"designer" in
+    Printf.bprintf script "begin %d\n" (Txn.id txn);
+    (* an abort deletes the round's creates: restore the level lists *)
+    let saved = Array.copy levels in
+    for _ = 0 to 1 + rand r 4 do
+      mutate (txn_ops mg txn) r levels script
+    done;
+    check (Printf.sprintf "%d (open)" round);
+    if rand r 3 = 0 then begin
+      ok (Txn.abort mg txn);
+      Array.blit saved 0 levels 0 (Array.length levels);
+      Printf.bprintf script "abort %d\n" (Txn.id txn)
+    end
+    else begin
+      ok (Txn.commit mg txn);
+      Printf.bprintf script "commit %d\n" (Txn.id txn)
+    end;
+    check (string_of_int round)
+  done
+
+let test_txn_interleaved () =
+  let scans0 = Plan.compiled_scans () in
+  for seed = 4000 to 4019 do
+    check_txn_seed seed
+  done;
+  Alcotest.(check bool)
+    "compiled engine engaged under transactions" true
     (Plan.compiled_scans () > scans0)
 
 (* The unplanned scan path through Query.select directly (no Database
@@ -536,4 +631,7 @@ let suite =
         test_mutation_interleaved;
       case "Query.select direct path, 20 rounds" test_query_select_direct;
       case "degenerate shapes" test_edges;
+      case
+        "transactional: 160 committed/aborted rounds under the same oracle"
+        test_txn_interleaved;
     ] )

@@ -11,6 +11,12 @@
    write N, B from write N-1, or a half-applied abort) is exactly a
    row in that select.
 
+   Between writes the readers' selects catch the shared compiled-plan
+   state up by delta, concurrently, under one read latch; the run fails
+   unless that catch-up actually happened (plan.delta.apply > 0), since
+   a torn registry or column there is exactly what the oracle exists to
+   catch.
+
    On top of the isolation oracle the run checks the concurrent
    bookkeeping stays exact: the resolve cache must account every
    lookup as a hit or a miss even while writer invalidations race
@@ -192,9 +198,11 @@ let () =
   (* the run exercised what it claims to exercise *)
   if Atomic.get selects = 0 then failf "readers never completed a select";
   if !rounds < 10 then failf "writer only completed %d round(s)" !rounds;
+  let applies = Metrics.counter_value "plan.delta.apply" in
+  if applies = 0 then failf "readers never caught plan state up by delta";
   Printf.printf
-    "stress: %d writer round(s), %d clean parallel select(s), %d lookups = %d \
-     hits + %d misses, %d failure(s)\n"
-    !rounds (Atomic.get selects) lookups hits misses !failures;
+    "stress: %d writer round(s), %d clean parallel select(s), %d delta \
+     catch-up(s), %d lookups = %d hits + %d misses, %d failure(s)\n"
+    !rounds (Atomic.get selects) applies lookups hits misses !failures;
   Metrics.disable ();
   exit (if !failures > 0 then 1 else 0)

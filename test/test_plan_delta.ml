@@ -6,7 +6,10 @@
      from-scratch derivation ([Plan.self_check] refills every cell);
    - tombstone compaction preserves live row order;
    - the dirty-fraction fallback actually fires (plan.delta.rebuild);
-   - a lost change-log window (overflow) falls back to a full rebuild;
+   - a lost change-log window (overflow) falls back to a full rebuild,
+     while a consumer that catches up within the sliding window never
+     does, and neither does an aborted transaction (its undo logs
+     precise change records);
    - COMPO_NO_DELTA is a strict boolean and disables the delta path;
 
    plus the widened-compiler ports: the quantifier and multi-segment
@@ -19,6 +22,8 @@ open Helpers
 module Obs = Compo_obs.Metrics
 module G = Compo_scenarios.Gates
 module D = Test_par_diff
+module W = Compo_scenarios.Workload
+module Txn = Compo_txn.Transaction
 
 (* Every test toggles process-global plan knobs; reset them on exit. *)
 let with_plan f () =
@@ -217,6 +222,123 @@ let test_overflow_falls_back () =
   Alcotest.(check bool) "registry rebuilt from scratch" true
     (Obs.counter_value "plan.registry.build" > builds0)
 
+(* The window slides: it always holds the last [change_log_cap] records,
+   whatever epoch the consumer stopped at. *)
+let test_changes_since_edges () =
+  let db, objs = flat_db 1 in
+  let store = Database.store db in
+  for i = 1 to Store.change_log_cap + 10 do
+    ok (Database.set_attr db (List.hd objs) "A" (Value.Int i))
+  done;
+  let e = Store.plan_epoch store and cap = Store.change_log_cap in
+  (match Store.changes_since store (e - cap) with
+  | Some chs -> check_int "a full window is kept" cap (List.length chs)
+  | None -> Alcotest.fail "since = epoch - cap must still be answered");
+  Alcotest.(check bool) "one record further back is lost" true
+    (Store.changes_since store (e - cap - 1) = None);
+  Alcotest.(check bool) "a future epoch is refused" true
+    (Store.changes_since store (e + 1) = None);
+  match Store.changes_since store (e - 1) with
+  | Some [ Store.Ch_attr (s, "A") ] ->
+      Alcotest.(check surrogate) "newest record names the write" (List.hd objs) s
+  | Some _ | None -> Alcotest.fail "the newest record is the last write"
+
+(* A consumer that selects every 100 mutations never falls out of the
+   window, however many records stream past it in total. *)
+let test_sliding_window_never_rebuilds () =
+  with_metrics @@ fun () ->
+  let db, objs = flat_db 400 in
+  let objs = Array.of_list objs in
+  let where = Expr.(path [ "A" ] < int 200) in
+  let (_ : Surrogate.t list) = compiled_select db ~cls:"All" where in
+  let rebuilds0 = Obs.counter_value "plan.delta.rebuild" in
+  let builds0 = Obs.counter_value "plan.registry.build" in
+  for i = 1 to 5 * Store.change_log_cap do
+    ok (Database.set_attr db objs.(i mod 400) "A" (Value.Int (i mod 401)));
+    if i mod 100 = 0 then
+      check_rows
+        (Printf.sprintf "rows after %d mutations" i)
+        (interp_select db ~cls:"All" where)
+        (compiled_select db ~cls:"All" where)
+  done;
+  check_int "no delta rebuild" rebuilds0
+    (Obs.counter_value "plan.delta.rebuild");
+  check_int "no registry build" builds0
+    (Obs.counter_value "plan.registry.build");
+  match Plan.self_check (Database.store db) with
+  | [] -> ()
+  | ps -> Alcotest.failf "sliding-window self-check: %s" (String.concat "; " ps)
+
+(* ------------------------------------------------------------------ *)
+(* Abort: the undo closures go back through the store's mutators, which
+   log precise change records, so the next select catches up by delta
+   exactly as it would after a committed write. *)
+
+(* [n] chains Node0 -> Node1 -> Node2, every node in class "Chains" *)
+let chains_db n =
+  let db = Database.create () in
+  ok (W.chain_schema db ~depth:2);
+  ok (Database.create_class db ~name:"Chains" ~member_type:"Node0");
+  let chain i =
+    let root =
+      ok
+        (Database.new_object db ~cls:"Chains" ~ty:"Node0"
+           ~attrs:[ ("Payload", Value.Int i) ]
+           ())
+    in
+    let link k prev =
+      let s =
+        ok (Database.new_object db ~cls:"Chains" ~ty:("Node" ^ string_of_int k) ())
+      in
+      let (_ : Surrogate.t) =
+        ok
+          (Database.bind db
+             ~via:("AllOf_Node" ^ string_of_int (k - 1))
+             ~transmitter:prev ~inheritor:s ())
+      in
+      s
+    in
+    let n1 = link 1 root in
+    (root, n1, link 2 n1)
+  in
+  (db, Array.init n chain)
+
+let test_abort_stays_on_delta () =
+  with_metrics @@ fun () ->
+  let db, chains = chains_db 20 in
+  let store = Database.store db in
+  let where = Expr.(path [ "Payload" ] < int 10) in
+  let select what =
+    let rows = compiled_select db ~cls:"Chains" where in
+    check_rows what (interp_select db ~cls:"Chains" where) rows;
+    match Plan.self_check store with
+    | [] -> ()
+    | ps -> Alcotest.failf "%s: self-check: %s" what (String.concat "; " ps)
+  in
+  select "before the transaction";
+  let rebuilds0 = Obs.counter_value "plan.delta.rebuild" in
+  let builds0 = Obs.counter_value "plan.registry.build" in
+  let applies0 = Obs.counter_value "plan.delta.apply" in
+  let mg = Txn.create_manager store in
+  let t = Txn.begin_txn mg ~user:"designer" in
+  let root0, _, _ = chains.(0) in
+  let root2, _, _ = chains.(2) in
+  let _, n1, _ = chains.(1) in
+  ok (Txn.set_attr mg t root0 "Payload" (Value.Int 50));
+  ok (Txn.unbind mg t n1);
+  let (_ : Surrogate.t) =
+    ok (Txn.bind mg t ~via:"AllOf_Node0" ~transmitter:root2 ~inheritor:n1 ())
+  in
+  select "inside the transaction";
+  ok (Txn.abort mg t);
+  select "after the abort";
+  check_int "no delta rebuild" rebuilds0
+    (Obs.counter_value "plan.delta.rebuild");
+  check_int "no registry build" builds0
+    (Obs.counter_value "plan.registry.build");
+  Alcotest.(check bool) "the abort was applied as a delta" true
+    (Obs.counter_value "plan.delta.apply" > applies0)
+
 (* ------------------------------------------------------------------ *)
 (* COMPO_NO_DELTA: strict boolean, and off really disables the delta
    path (rows stay correct either way — the escape hatch is about
@@ -383,4 +505,10 @@ let suite =
         (with_plan test_compiled_forall_exists);
       case "compiled 3-segment reference chain, delta-maintained"
         (with_plan test_compiled_multi_segment);
+      case "changes_since: the window slides over the last cap records"
+        (with_plan test_changes_since_edges);
+      case "a consumer inside the window never rebuilds"
+        (with_plan test_sliding_window_never_rebuilds);
+      case "an aborted transaction is caught up by delta"
+        (with_plan test_abort_stays_on_delta);
     ] )

@@ -116,7 +116,35 @@ let test_abort_never_serves_aborted_values () =
   ok (Txn.abort mg t);
   check_value "read after abort serves the pre-transaction value"
     (Value.Int 4)
-    (ok (Database.get_attr db impl "Length"))
+    (ok (Database.get_attr db impl "Length"));
+  (* two hops down: the undo is an ordinary attribute write, and its
+     scoped invalidation reaches the whole inheritor closure -- no global
+     bump is needed to take the memoised in-flight value back *)
+  with_metrics @@ fun () ->
+  let db = Database.create () in
+  ok (W.chain_schema db ~depth:2);
+  let nodes = ok (W.chain_instance db ~depth:2 ~payload:7) in
+  let root = List.hd nodes and leaf = List.nth nodes 2 in
+  check_value "committed leaf value" (Value.Int 7)
+    (ok (Database.get_attr db leaf "Payload"));
+  let mg = Txn.create_manager (Database.store db) in
+  let t = Txn.begin_txn mg ~user:"alice" in
+  ok (Txn.set_attr mg t root "Payload" (Value.Int 99));
+  check_value "plain read two hops down sees the in-flight value"
+    (Value.Int 99)
+    (ok (Database.get_attr db leaf "Payload"));
+  let h0 = Resolve_cache.hits () in
+  check_value "and memoises it" (Value.Int 99)
+    (ok (Database.get_attr db leaf "Payload"));
+  check_int "in-flight value served from the cache" 1
+    (Resolve_cache.hits () - h0);
+  let g0 = Resolve_cache.invalidations_global () in
+  ok (Txn.abort mg t);
+  check_int "the abort bumps nothing globally" g0
+    (Resolve_cache.invalidations_global ());
+  check_value "leaf read after abort serves the pre-transaction value"
+    (Value.Int 7)
+    (ok (Database.get_attr db leaf "Payload"))
 
 (* Selections plus a full attribute sweep, with the cache on, must equal
    the same run with the cache off -- over both paper scenarios. *)
