@@ -89,7 +89,8 @@ fmt-check:
 bench: build
 	dune exec bench/main.exe
 
-# CI-sized benchmark: E1 plus the resolve-cache sweep E15, the
+# CI-sized benchmark: E1, the lock-path experiments E6 (lock
+# inheritance) and E12 (deadlock detection), the resolve-cache sweep E15, the
 # provenance-overhead sweep E16, the recovery-time sweep E17, the
 # parallel-scaling sweep E18, the compiled-plan sweep E21 and the
 # delta-maintenance sweep E22 on small grids.  Fails if the cached
@@ -101,7 +102,7 @@ bench: build
 # write mix (same 1-core skip), or if any experiment does not produce
 # its JSON report.
 bench-smoke: build
-	dune exec bench/main.exe -- --smoke --check-speedup 1.0 --check-scaling 1.8 --check-compiled-speedup 3 --check-delta-speedup 2 E1 E15 E16 E17 E18 E21 E22
+	dune exec bench/main.exe -- --smoke --check-speedup 1.0 --check-scaling 1.8 --check-compiled-speedup 3 --check-delta-speedup 2 E1 E6 E12 E15 E16 E17 E18 E21 E22
 	test -s BENCH_resolve_cache.json
 	test -s BENCH_provenance.json
 	test -s BENCH_recovery.json

@@ -263,8 +263,8 @@ let e6 () =
       in
       ignore (ok (Compo_txn.Transaction.commit mg t));
       say "%8d %14.3f %14.3f %10d" depth
-        (us (time_per ~batch:10 plain))
-        (us (time_per ~batch:10 txn_read))
+        (us (time_per ~batch:200 plain))
+        (us (time_per ~batch:200 txn_read))
         locks)
     [ 0; 2; 4; 8; 16 ]
 

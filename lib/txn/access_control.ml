@@ -9,22 +9,35 @@ let right_to_string = function
 
 type t = {
   default : right;
-  rules : (string, right) Hashtbl.t;  (* "user\000surrogate" -> right *)
+  rules : (string, right Surrogate.Tbl.t) Hashtbl.t;  (* user -> object -> right *)
   protected : unit Surrogate.Tbl.t;
 }
 
-let key ~user s = user ^ "\000" ^ Surrogate.to_string s
-
 let create ?(default = Read_write) () =
-  { default; rules = Hashtbl.create 64; protected = Surrogate.Tbl.create 64 }
+  { default; rules = Hashtbl.create 8; protected = Surrogate.Tbl.create 64 }
 
-let grant t ~user s right = Hashtbl.replace t.rules (key ~user s) right
+let grant t ~user s right =
+  match Hashtbl.find t.rules user with
+  | objs -> Surrogate.Tbl.replace objs s right
+  | exception Not_found ->
+      let objs = Surrogate.Tbl.create 16 in
+      Surrogate.Tbl.add objs s right;
+      Hashtbl.add t.rules user objs
+
 let protect t s = Surrogate.Tbl.replace t.protected s ()
 
+let fallback t s =
+  if Surrogate.Tbl.length t.protected > 0 && Surrogate.Tbl.mem t.protected s then Read_only
+  else t.default
+
+(* no allocation: an access check runs on every lock the transaction
+   layer takes, one per hop of an inherited read *)
 let rights t ~user s =
-  match Hashtbl.find_opt t.rules (key ~user s) with
-  | Some r -> r
-  | None -> if Surrogate.Tbl.mem t.protected s then Read_only else t.default
+  if Hashtbl.length t.rules = 0 then fallback t s
+  else
+    match Surrogate.Tbl.find (Hashtbl.find t.rules user) s with
+    | r -> r
+    | exception Not_found -> fallback t s
 
 let cap_mode t ~user s mode =
   match rights t ~user s with

@@ -31,6 +31,8 @@ val release_all : t -> txn:txn_id -> unit
 val holds : t -> txn:txn_id -> Surrogate.t -> Lock.mode option
 val holders : t -> Surrogate.t -> (txn_id * Lock.mode) list
 val locks_of : t -> txn:txn_id -> (Surrogate.t * Lock.mode) list
+(** In descending surrogate order. *)
+
 val lock_count : t -> int
 
 val waits_for : t -> txn:txn_id -> txn_id list

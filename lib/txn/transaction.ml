@@ -177,10 +177,11 @@ let with_lock_hooks mg txn f =
         | Ok () -> ()
         | Error e -> raise (Errors.Compo_error e))
   in
-  let result = try f () with Errors.Compo_error e -> Error e in
-  Store.remove_hook mg.mg_store rh;
-  Store.remove_hook mg.mg_store wh;
-  result
+  Fun.protect
+    ~finally:(fun () ->
+      Store.remove_hook mg.mg_store rh;
+      Store.remove_hook mg.mg_store wh)
+    (fun () -> try f () with Errors.Compo_error e -> Error e)
 
 let get_attr mg txn s name =
   let* () = check_active txn in

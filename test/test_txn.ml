@@ -339,6 +339,82 @@ let test_partial_expansion_locking () =
   check_bool "deep covers more" true (List.length deep > List.length shallow);
   ok (T.commit mg t2)
 
+(* A hook that raises something other than Compo_error must not leave the
+   transaction's lock hooks installed: later plain reads would lock on
+   behalf of a finished transaction and nothing would release them. *)
+let test_lock_hooks_removed_on_foreign_exception () =
+  let db, mg = setup () in
+  let store = Database.store db in
+  let iface = ok (G.nor_interface db) in
+  let impl = ok (G.new_implementation db ~interface:iface ()) in
+  let t1 = T.begin_txn mg ~user:"alice" in
+  let boom = Store.add_read_hook store (fun _ -> failwith "boom") in
+  (match T.get_attr mg t1 impl "Length" with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "expected the hook's Failure to propagate");
+  Store.remove_hook store boom;
+  check_bool "no read hooks left" false (Store.read_hooks_installed store);
+  ok (T.commit mg t1);
+  check_value "plain read" (Value.Int 4) (ok (Database.get_attr db impl "Length"));
+  check_int "plain read takes no locks" 0 (Lock_manager.lock_count (T.lock_manager mg))
+
+(* Access control is consulted on every acquire, also when the lock is
+   already held: a right withdrawn mid-transaction takes effect on the
+   next access. *)
+let test_rights_rechecked_on_held_locks () =
+  let db = gates_db () in
+  let ac = Access_control.create () in
+  let mg = T.create_manager ~access:ac (Database.store db) in
+  let g = ok (G.new_simple_gate db ~func:"AND" ~length:4 ~width:2) in
+  let h = ok (G.new_simple_gate db ~func:"OR" ~length:4 ~width:2) in
+  let t1 = T.begin_txn mg ~user:"alice" in
+  check_value "first read" (Value.Int 4) (ok (T.get_attr mg t1 g "Length"));
+  check_bool "S held" true (Lock_manager.holds (T.lock_manager mg) ~txn:(T.id t1) g = Some Lock.S);
+  Access_control.grant ac ~user:"alice" g Access_control.No_access;
+  expect_error
+    (function Errors.Access_denied _ -> true | _ -> false)
+    (T.get_attr mg t1 g "Length");
+  (* protect caps a held object to reads: re-reading is fine, writing and
+     X expansion locks are not *)
+  check_value "read before protect" (Value.Int 4) (ok (T.get_attr mg t1 h "Length"));
+  Access_control.protect ac h;
+  check_value "re-read after protect" (Value.Int 4) (ok (T.get_attr mg t1 h "Length"));
+  expect_error
+    (function Errors.Access_denied _ -> true | _ -> false)
+    (T.set_attr mg t1 h "Length" (Value.Int 9));
+  check_bool "expansion capped to S" true
+    (List.assoc_opt h (ok (T.lock_expansion mg t1 h ~mode:Lock.X)) = Some Lock.S);
+  check_bool "still only S on the protected object" true
+    (Lock_manager.holds (T.lock_manager mg) ~txn:(T.id t1) h = Some Lock.S);
+  ok (T.commit mg t1)
+
+(* The locks an inherited read takes are exactly the attribute's lock set,
+   every one in mode S. *)
+let test_read_locks_equal_attr_lock_set () =
+  List.iter
+    (fun depth ->
+      let db = Database.create () in
+      ok (Compo_scenarios.Workload.chain_schema db ~depth);
+      let nodes = ok (Compo_scenarios.Workload.chain_instance db ~depth ~payload:7) in
+      let leaf = List.nth nodes depth in
+      let store = Database.store db in
+      let mg = T.create_manager store in
+      let t1 = T.begin_txn mg ~user:"alice" in
+      check_value "payload" (Value.Int 7) (ok (T.get_attr mg t1 leaf "Payload"));
+      let want =
+        List.sort Surrogate.compare (Lock_inheritance.attr_lock_set store leaf "Payload")
+        |> List.map (fun s -> (Surrogate.to_int s, "S"))
+      in
+      let got =
+        Lock_manager.locks_of (T.lock_manager mg) ~txn:(T.id t1)
+        |> List.map (fun (s, m) -> (Surrogate.to_int s, Lock.to_string m))
+        |> List.sort compare
+      in
+      check_int (Printf.sprintf "depth %d lock count" depth) (depth + 1) (List.length got);
+      check_bool (Printf.sprintf "depth %d locks = attr_lock_set, all S" depth) true (got = want);
+      ok (T.commit mg t1))
+    [ 0; 2; 8; 16 ]
+
 let suite =
   ( "txn",
     [
@@ -361,4 +437,7 @@ let suite =
       case "sibling reader coexists with writer (IS/IX)" test_reader_of_subobject_coexists_with_sibling_writer;
       case "staleness stamping is transactional" test_stamping_follows_commit;
       case "partial expansion locking (depth bound)" test_partial_expansion_locking;
+      case "lock hooks removed on a foreign exception" test_lock_hooks_removed_on_foreign_exception;
+      case "rights re-checked on held locks" test_rights_rechecked_on_held_locks;
+      case "read locks equal attr_lock_set (depth 0-16)" test_read_locks_equal_attr_lock_set;
     ] )
