@@ -178,9 +178,15 @@ let numeric_binop op a b =
           | _ -> fail ())
       | _ -> fail ())
 
+(* numbers compare as floats, Int against Int included; matched
+   directly rather than through [Value.as_float], which would box both
+   operands on every call *)
 let compare_values a b =
-  match (Value.as_float a, Value.as_float b) with
-  | Some x, Some y -> Float.compare x y
+  match (a, b) with
+  | Value.Int x, Value.Int y -> Float.compare (float_of_int x) (float_of_int y)
+  | Value.Int x, Value.Real y -> Float.compare (float_of_int x) y
+  | Value.Real x, Value.Int y -> Float.compare x (float_of_int y)
+  | Value.Real x, Value.Real y -> Float.compare x y
   | _ -> Value.compare a b
 
 let rec eval env expr =

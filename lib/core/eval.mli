@@ -44,7 +44,8 @@ val numeric_binop : Expr.binop -> Value.t -> Value.t -> (Value.t, Errors.t) resu
 val compare_values : Value.t -> Value.t -> int
 (** Comparison with the evaluator's coercion rule: numbers compare by
     magnitude across [Int]/[Real], everything else structurally.
-    Exposed for {!Plan}. *)
+    Allocates nothing.  Exposed so {!Plan}'s compiled comparisons apply
+    the same rule. *)
 
 val node_count : unit -> int
 (** Process-wide [eval.node] counter reading (0 while metrics are

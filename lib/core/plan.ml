@@ -17,11 +17,12 @@ let m_col_build = Obs.counter "plan.column.build"
 let m_col_hit = Obs.counter "plan.column.hit"
 
 (* delta maintenance: batches applied, change records consumed, cells
-   refilled in place, fallbacks to a full rebuild, registry slots
-   patched, and tombstone compactions *)
+   re-walked in place, cells refreshed from a written value, fallbacks
+   to a full rebuild, registry slots patched, and tombstone compactions *)
 let m_delta_apply = Obs.counter "plan.delta.apply"
 let m_delta_changes = Obs.counter "plan.delta.changes"
 let m_delta_cells = Obs.counter "plan.delta.cells"
+let m_delta_refresh = Obs.counter "plan.delta.refresh"
 let m_delta_rebuild = Obs.counter "plan.delta.rebuild"
 let m_delta_patch = Obs.counter "plan.delta.registry.patch"
 let m_delta_compact = Obs.counter "plan.delta.registry.compact"
@@ -136,6 +137,7 @@ and column = {
   mutable col_vals : Value.t array;
   mutable col_err : bool array;  (* the interpreter would error here *)
   mutable col_volatile : bool array;  (* interp-filled: dirty on any change *)
+  mutable col_nvol : int;  (* rows with [col_volatile] set *)
   mutable col_rows : int Surrogate.Tbl.t;  (* member -> row *)
   mutable col_deps : Surrogate.t list array;  (* row -> resolution chain *)
   col_rdeps : Surrogate.t list Surrogate.Tbl.t;  (* chain entity -> members *)
@@ -445,6 +447,8 @@ let fill_all store st reg spec marr ~jobs =
     done;
   cells
 
+let count_true a = Array.fold_left (fun n b -> if b then n + 1 else n) 0 a
+
 let build_column store st reg ~cls ~spec members stamp ~jobs =
   Obs.incr m_col_build;
   let marr = Array.of_list members in
@@ -456,6 +460,7 @@ let build_column store st reg ~cls ~spec members stamp ~jobs =
   Array.iteri
     (fun i c -> List.iter (fun d -> rdeps_add rdeps d marr.(i)) c.cdeps)
     cells;
+  let vols = Array.map (fun c -> c.cvol) cells in
   {
     col_stamp = stamp;
     col_cls = cls;
@@ -463,7 +468,8 @@ let build_column store st reg ~cls ~spec members stamp ~jobs =
     col_members = marr;
     col_vals = Array.map (fun c -> c.cv) cells;
     col_err = Array.map (fun c -> c.ce) cells;
-    col_volatile = Array.map (fun c -> c.cvol) cells;
+    col_volatile = vols;
+    col_nvol = count_true vols;
     col_rows = rows;
     col_deps = Array.map (fun c -> c.cdeps) cells;
     col_rdeps = rdeps;
@@ -472,12 +478,6 @@ let build_column store st reg ~cls ~spec members stamp ~jobs =
 (* ------------------------------------------------------------------ *)
 (* Column delta                                                        *)
 
-let col_relevant_attr spec a =
-  match spec with
-  | Cattr b -> String.equal a b
-  | Cpath segs -> List.mem a segs
-  | Cexpr _ -> false (* every expression cell is volatile anyway *)
-
 exception Col_rebuild
 
 let refill_row store st reg schema col m i =
@@ -485,6 +485,8 @@ let refill_row store st reg schema col m i =
   let c = fill_cell store st reg schema col.col_spec m in
   col.col_vals.(i) <- c.cv;
   col.col_err.(i) <- c.ce;
+  if col.col_volatile.(i) <> c.cvol then
+    col.col_nvol <- (col.col_nvol + if c.cvol then 1 else -1);
   col.col_volatile.(i) <- c.cvol;
   col.col_deps.(i) <- c.cdeps;
   List.iter (fun d -> rdeps_add col.col_rdeps d m) c.cdeps;
@@ -537,6 +539,7 @@ let realign store st reg col members dirty =
   col.col_vals <- vals;
   col.col_err <- errs;
   col.col_volatile <- vols;
+  col.col_nvol <- count_true vols;
   col.col_rows <- rows;
   col.col_deps <- deps
 
@@ -547,16 +550,57 @@ let apply_column_delta store st reg col members stamp chs =
   let mark m =
     if Surrogate.Tbl.mem col.col_rows m then Surrogate.Tbl.replace dirty m ()
   in
-  let mark_rdeps x =
-    List.iter mark
-      (Option.value ~default:[] (Surrogate.Tbl.find_opt col.col_rdeps x))
+  let rdeps x =
+    Option.value ~default:[] (Surrogate.Tbl.find_opt col.col_rdeps x)
+  in
+  let mark_rdeps x = List.iter mark (rdeps x) in
+  (* A value write moves no chain: which entity a row resolves from
+     depends only on types and bindings.  So a row whose recorded chain
+     ends at the written entity [x], where [x]'s type owns the
+     attribute, takes [x]'s current local value; every other row through
+     [x] passes it as a [Via] hop and never reads its local attributes.
+     An [x] gone from the registry was deleted later in the window: its
+     rows re-walk. *)
+  let owns = ref [] in
+  let owner_owns attr ty =
+    match List.find_opt (fun (t, _) -> String.equal t ty) !owns with
+    | Some (_, o) -> o
+    | None ->
+        let o = decision_of st schema ty attr = Own in
+        owns := (ty, o) :: !owns;
+        o
+  in
+  let refresh x attr =
+    match Surrogate.Tbl.find_opt reg.reg_ids x with
+    | None -> mark_rdeps x
+    | Some slot ->
+        let e = reg.reg_ents.(slot) in
+        if owner_owns attr e.Store.type_name then
+          let v =
+            Option.value ~default:Value.Null
+              (Store.Smap.find_opt attr e.Store.attrs)
+          in
+          List.iter
+            (fun m ->
+              match Surrogate.Tbl.find_opt col.col_rows m with
+              | Some i -> (
+                  match col.col_deps.(i) with
+                  | h :: _ when Surrogate.equal h x ->
+                      col.col_vals.(i) <- v;
+                      Obs.incr m_delta_refresh
+                  | _ -> ())
+              | None -> ())
+            (rdeps x)
   in
   let membership = ref false in
   List.iter
     (fun ch ->
       match ch with
-      | Store.Ch_attr (x, a) ->
-          if col_relevant_attr col.col_spec a then mark_rdeps x
+      | Store.Ch_attr (x, a) -> (
+          match col.col_spec with
+          | Cattr b -> if String.equal a b then refresh x a
+          | Cpath segs -> if List.mem a segs then mark_rdeps x
+          | Cexpr _ -> () (* every expression cell is volatile anyway *))
       | Store.Ch_rebound x ->
           mark_rdeps x;
           mark x
@@ -571,12 +615,10 @@ let apply_column_delta store st reg col members stamp chs =
     chs;
   (* interpreter-filled cells depend on arbitrary state: any mutation at
      all dirties them *)
-  (match chs with
-  | [] -> ()
-  | _ :: _ ->
-      Array.iteri
-        (fun i m -> if col.col_volatile.(i) then mark m)
-        col.col_members);
+  if col.col_nvol > 0 then
+    Array.iteri
+      (fun i m -> if col.col_volatile.(i) then mark m)
+      col.col_members;
   (if !membership then realign store st reg col members dirty
    else
      let d = Surrogate.Tbl.length dirty in
@@ -658,6 +700,11 @@ let cmp_holds op c =
   | Expr.Ge -> c >= 0
   | _ -> assert false
 
+(* shared results, so a row test allocates no boolean *)
+let v_true = Value.Bool true
+let v_false = Value.Bool false
+let of_bool b = if b then v_true else v_false
+
 (* The compilable subset now covers the whole expression grammar.  Paths
    of any length and the quantifier forms ([count]/[sum]/[forall]/
    [exists], plus [in] over a path right-hand side) become materialized
@@ -687,7 +734,7 @@ let rec compile counter slots expr =
   | Unop (Not, e) -> (
       match compile counter slots e with
       | None -> None
-      | Some f -> mk (fun ctx i -> Value.Bool (not (as_bool (f ctx i)))))
+      | Some f -> mk (fun ctx i -> of_bool (not (as_bool (f ctx i)))))
   | Unop (Neg, e) -> (
       match compile counter slots e with
       | None -> None
@@ -701,15 +748,15 @@ let rec compile counter slots expr =
       match (compile counter slots a, compile counter slots b) with
       | Some fa, Some fb ->
           mk (fun ctx i ->
-              if not (as_bool (fa ctx i)) then Value.Bool false
-              else Value.Bool (as_bool (fb ctx i)))
+              if not (as_bool (fa ctx i)) then v_false
+              else of_bool (as_bool (fb ctx i)))
       | _ -> None)
   | Binop (Or, a, b) -> (
       match (compile counter slots a, compile counter slots b) with
       | Some fa, Some fb ->
           mk (fun ctx i ->
-              if as_bool (fa ctx i) then Value.Bool true
-              else Value.Bool (as_bool (fb ctx i)))
+              if as_bool (fa ctx i) then v_true
+              else of_bool (as_bool (fb ctx i)))
       | _ -> None)
   | Binop (In, a, b) -> (
       match b with
@@ -727,7 +774,7 @@ let rec compile counter slots expr =
                     | Value.Set vs | Value.List vs -> vs
                     | w -> [ w ]
                   in
-                  Value.Bool (List.exists (Value.equal v) members))
+                  of_bool (List.exists (Value.equal v) members))
           | _ -> None))
   | Binop (((Add | Sub | Mul | Div) as op), a, b) -> (
       match (compile counter slots a, compile counter slots b) with
@@ -745,7 +792,7 @@ let rec compile counter slots expr =
           mk (fun ctx i ->
               let x = fa ctx i in
               let y = fb ctx i in
-              Value.Bool (cmp_holds op (Eval.compare_values x y)))
+              of_bool (cmp_holds op (Eval.compare_values x y)))
       | _ -> None)
 
 (* ------------------------------------------------------------------ *)
@@ -846,15 +893,74 @@ let registry_live store =
       Some (!acc, reg.reg_dead)
   | Some _ | None -> None
 
+(* one current column against a from-scratch fill: values, error marks
+   and recorded chains row by row (the value refresh trusts each chain's
+   head), the reverse-dependency map as the exact inverse of the chains
+   (a pair missing there is a write that would never reach its row), and
+   the volatile count the sweep is gated on *)
+let check_column add store st reg schema cls col =
+  let report fmt = Printf.ksprintf add fmt in
+  let label = spec_label col.col_spec in
+  (match Store.class_members store cls with
+  | Error _ -> report "column %s/%s over unknown class" cls label
+  | Ok members ->
+      let marr = Array.of_list members in
+      if Array.length marr <> Array.length col.col_members then
+        report "column %s/%s has %d rows, extent has %d" cls label
+          (Array.length col.col_members)
+          (Array.length marr)
+      else
+        Array.iteri
+          (fun i m ->
+            if not (Surrogate.equal m col.col_members.(i)) then
+              report "column %s/%s row %d member drifted" cls label i
+            else
+              let c = fill_cell store st reg schema col.col_spec m in
+              if
+                (not (Value.equal c.cv col.col_vals.(i)))
+                || c.ce <> col.col_err.(i)
+              then
+                report "column %s/%s row %d (%s): delta %s/%b, rebuild %s/%b"
+                  cls label i (Surrogate.to_string m)
+                  (Value.to_string col.col_vals.(i))
+                  col.col_err.(i) (Value.to_string c.cv) c.ce;
+              if not (List.equal Surrogate.equal c.cdeps col.col_deps.(i)) then
+                report "column %s/%s row %d (%s): chain [%s], rebuild [%s]"
+                  cls label i (Surrogate.to_string m)
+                  (String.concat " "
+                     (List.map Surrogate.to_string col.col_deps.(i)))
+                  (String.concat " " (List.map Surrogate.to_string c.cdeps)))
+          marr);
+  let inverse = Surrogate.Tbl.create 16 in
+  Array.iteri
+    (fun i m -> List.iter (fun d -> rdeps_add inverse d m) col.col_deps.(i))
+    col.col_members;
+  let sorted ms = List.sort Surrogate.compare ms in
+  let compare_entry d expect =
+    let have =
+      Option.value ~default:[] (Surrogate.Tbl.find_opt col.col_rdeps d)
+    in
+    if not (List.equal Surrogate.equal (sorted have) (sorted expect)) then
+      report "column %s/%s rdeps of %s: %d member(s), chains name %d" cls label
+        (Surrogate.to_string d) (List.length have) (List.length expect)
+  in
+  Surrogate.Tbl.iter compare_entry inverse;
+  Surrogate.Tbl.iter
+    (fun d _ ->
+      if not (Surrogate.Tbl.mem inverse d) then compare_entry d [])
+    col.col_rdeps;
+  if col.col_nvol <> count_true col.col_volatile then
+    report "column %s/%s volatile count %d, %d volatile row(s)" cls label
+      col.col_nvol (count_true col.col_volatile)
+
 (* the column-equivalence invariant: every delta-maintained structure
    that claims to be current must equal a from-scratch derivation *)
 let self_check store =
   match Store.plan_slot store with
   | Some (Slot st) -> (
       let problems = ref [] in
-      let report fmt =
-        Printf.ksprintf (fun s -> problems := s :: !problems) fmt
-      in
+      let add s = problems := s :: !problems in
+      let report fmt = Printf.ksprintf add fmt in
       let stamp = Store.plan_epoch store in
       (match st.s_registry with
       | Some reg when reg.reg_stamp = stamp ->
@@ -891,40 +997,7 @@ let self_check store =
           Hashtbl.iter
             (fun (cls, _) col ->
               if col.col_stamp = stamp then
-                match Store.class_members store cls with
-                | Error _ ->
-                    report "column %s/%s over unknown class" cls
-                      (spec_label col.col_spec)
-                | Ok members ->
-                    let marr = Array.of_list members in
-                    if Array.length marr <> Array.length col.col_members then
-                      report "column %s/%s has %d rows, extent has %d" cls
-                        (spec_label col.col_spec)
-                        (Array.length col.col_members)
-                        (Array.length marr)
-                    else
-                      Array.iteri
-                        (fun i m ->
-                          if not (Surrogate.equal m col.col_members.(i)) then
-                            report "column %s/%s row %d member drifted" cls
-                              (spec_label col.col_spec) i
-                          else
-                            let c =
-                              fill_cell store st reg schema col.col_spec m
-                            in
-                            if
-                              (not (Value.equal c.cv col.col_vals.(i)))
-                              || c.ce <> col.col_err.(i)
-                            then
-                              report
-                                "column %s/%s row %d (%s): delta %s/%b, \
-                                 rebuild %s/%b"
-                                cls
-                                (spec_label col.col_spec)
-                                i (Surrogate.to_string m)
-                                (Value.to_string col.col_vals.(i))
-                                col.col_err.(i) (Value.to_string c.cv) c.ce)
-                        marr)
+                check_column add store st reg schema cls col)
             st.s_columns
       | Some _ | None -> ());
       List.rev !problems)

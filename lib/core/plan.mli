@@ -21,8 +21,8 @@
        in [plan.delta.rebuild]).}
     {- {b Closure compilation}: a predicate compiles to an array of
        closures once per query instead of being re-interpreted once per
-       row.  Coercions go through {!Eval.numeric_binop} /
-       {!Eval.compare_values}, so compiled semantics are bit-identical
+       row.  Arithmetic goes through {!Eval.numeric_binop} and
+       comparisons through {!Eval.compare_values}, so compiled semantics are bit-identical
        to interpreted semantics (a row is kept iff the interpreter would
        keep it — errors drop the row in both engines, [and]/[or]
        short-circuit identically).  The compilable subset covers the
@@ -33,8 +33,12 @@
     {- {b Materialized columns}: resolved values per (class, spec) — a
        select over an inherited attribute becomes a tight array scan,
        which parallelizes for real.  Each row records the resolution
-       chain it read, so a mutation dirties exactly the rows whose
-       chains pass through the touched entity; a dirty fraction past
+       chain it read.  A value write moves no chain, so on a
+       single-attribute column it refreshes, without a walk, the rows
+       whose chains end at the written owner (counted in
+       [plan.delta.refresh]); any other mutation dirties exactly the
+       rows whose chains pass through the touched entity, and those
+       re-walk ([plan.delta.cells]).  A dirty fraction past
        {!set_dirty_threshold} falls back to a from-scratch rebuild.
        Interpreter-filled cells (quantifiers, fallback shapes) are
        {e volatile}: any mutation at all refreshes them.}}
@@ -119,7 +123,9 @@ val self_check : Store.t -> string list
     delta-maintained structure whose stamp claims to be current must
     equal a from-scratch derivation — registry slots against live store
     entities and current transmitter bindings, column rows against the
-    class extent, every cell against a fresh fill.  Returns
+    class extent, every cell's value, error mark and recorded chain
+    against a fresh fill, and each column's reverse-dependency map as
+    the exact inverse of its chains.  Returns
     human-readable problem descriptions; [[]] means consistent.  Stale
     structures (not yet caught up) are skipped, since they make no
     currency claim. *)

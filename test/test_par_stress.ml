@@ -15,7 +15,11 @@
    state up by delta, concurrently, under one read latch; the run fails
    unless that catch-up actually happened (plan.delta.apply > 0), since
    a torn registry or column there is exactly what the oracle exists to
-   catch.
+   catch.  Value writes only refresh cells in place, so the writer also
+   re-points a mid-chain inheritor to another root and back now and
+   then (unbind + bind in one exclusive section: A = B still holds on
+   either side), and the run fails unless both catch-up paths ran
+   (plan.delta.refresh > 0 and plan.delta.cells > 0).
 
    On top of the isolation oracle the run checks the concurrent
    bookkeeping stays exact: the resolve cache must account every
@@ -46,7 +50,8 @@ let ( let* ) = Result.bind
 (* ------------------------------------------------------------------ *)
 (* A population where A = B resolves through inheritance: [roots] own
    both attributes, and each root transmits them down a chain of
-   [depth] bound inheritors.  Everything lives in class "Pop". *)
+   [depth] bound inheritors.  Everything lives in class "Pop".  [build]
+   returns each root with its first inheritor. *)
 
 let schema db ~depth =
   let ty k = "N" ^ string_of_int k in
@@ -102,13 +107,14 @@ let build db ~roots ~depth =
   let rel k = "AllOf_N" ^ string_of_int k in
   let* () = schema db ~depth in
   let rec chain parent k =
-    if k > depth then Ok ()
+    if k > depth then Ok parent
     else
       let* s = Database.new_object db ~cls:"Pop" ~ty:(ty k) () in
       let* (_ : Surrogate.t) =
         Database.bind db ~via:(rel (k - 1)) ~transmitter:parent ~inheritor:s ()
       in
-      chain s (k + 1)
+      let* (_ : Surrogate.t) = chain s (k + 1) in
+      Ok s
   in
   let rec mk i acc =
     if i >= roots then Ok (List.rev acc)
@@ -118,8 +124,8 @@ let build db ~roots ~depth =
           ~attrs:[ ("A", Value.Int 0); ("B", Value.Int 0) ]
           ()
       in
-      let* () = chain root 1 in
-      mk (i + 1) (root :: acc)
+      let* first = chain root 1 in
+      mk (i + 1) ((root, first) :: acc)
   in
   mk 0 []
 
@@ -128,7 +134,8 @@ let build db ~roots ~depth =
 let () =
   Metrics.enable ();
   let db = Database.create () in
-  let roots = ok "build" (build db ~roots:12 ~depth:3) in
+  let chains = Array.of_list (ok "build" (build db ~roots:12 ~depth:3)) in
+  let roots = Array.to_list (Array.map fst chains) in
   let store = Database.store db in
   let mg = Compo_txn.Transaction.create_manager store in
   let torn = ok "parse" (Compo_ddl.Parser.parse_expr "A <> B") in
@@ -159,9 +166,24 @@ let () =
      snapshot ever shows the halfway state *)
   let deadline = Unix.gettimeofday () +. 2.0 in
   let rounds = ref 0 in
+  let repoint inheritor transmitter =
+    Store.exclusively store (fun () ->
+        ok "unbind" (Database.unbind db inheritor);
+        ignore
+          (ok "bind"
+             (Database.bind db ~via:"AllOf_N0" ~transmitter ~inheritor ())))
+  in
   while Unix.gettimeofday () < deadline do
     incr rounds;
     let v = Value.Int !rounds in
+    (* every 4th round one chain's first inheritor moves over to the
+       next root, and 4 rounds later back home: re-walks race the
+       readers too *)
+    (if !rounds mod 4 = 0 then
+       let n = Array.length chains in
+       let k = (!rounds - 1) / 8 mod n in
+       let home, first = chains.(k) and away, _ = chains.((k + 1) mod n) in
+       repoint first (if !rounds mod 8 = 4 then away else home));
     List.iteri
       (fun i root ->
         if (!rounds + i) mod 3 = 0 then begin
@@ -200,9 +222,15 @@ let () =
   if !rounds < 10 then failf "writer only completed %d round(s)" !rounds;
   let applies = Metrics.counter_value "plan.delta.apply" in
   if applies = 0 then failf "readers never caught plan state up by delta";
+  let refreshed = Metrics.counter_value "plan.delta.refresh"
+  and rewalked = Metrics.counter_value "plan.delta.cells" in
+  if refreshed = 0 then failf "no catch-up refreshed a written value";
+  if rewalked = 0 then failf "no catch-up re-walked a re-pointed chain";
   Printf.printf
     "stress: %d writer round(s), %d clean parallel select(s), %d delta \
-     catch-up(s), %d lookups = %d hits + %d misses, %d failure(s)\n"
-    !rounds (Atomic.get selects) applies lookups hits misses !failures;
+     catch-up(s) (%d cell(s) refreshed, %d re-walked), %d lookups = %d hits \
+     + %d misses, %d failure(s)\n"
+    !rounds (Atomic.get selects) applies refreshed rewalked lookups hits misses
+    !failures;
   Metrics.disable ();
   exit (if !failures > 0 then 1 else 0)

@@ -6,6 +6,10 @@
      from-scratch derivation ([Plan.self_check] refills every cell);
    - tombstone compaction preserves live row order;
    - the dirty-fraction fallback actually fires (plan.delta.rebuild);
+   - a value write refreshes the cells that resolve from the written
+     owner without re-walking them (plan.delta.refresh), alone or
+     mixed with rebinds and deletes in one window, and a stray value
+     on an entity that does not own the attribute never leaks in;
    - a lost change-log window (overflow) falls back to a full rebuild,
      while a consumer that catches up within the sliding window never
      does, and neither does an aborted transaction (its undo logs
@@ -84,6 +88,41 @@ let flat_db n =
              ()))
   in
   (db, objs)
+
+(* [n] chains Node0 -> Node1 -> Node2, every node in class "Chains" *)
+let chains_db n =
+  let db = Database.create () in
+  ok (W.chain_schema db ~depth:2);
+  ok (Database.create_class db ~name:"Chains" ~member_type:"Node0");
+  let chain i =
+    let root =
+      ok
+        (Database.new_object db ~cls:"Chains" ~ty:"Node0"
+           ~attrs:[ ("Payload", Value.Int i) ]
+           ())
+    in
+    let link k prev =
+      let s =
+        ok (Database.new_object db ~cls:"Chains" ~ty:("Node" ^ string_of_int k) ())
+      in
+      let (_ : Surrogate.t) =
+        ok
+          (Database.bind db
+             ~via:("AllOf_Node" ^ string_of_int (k - 1))
+             ~transmitter:prev ~inheritor:s ())
+      in
+      s
+    in
+    let n1 = link 1 root in
+    (root, n1, link 2 n1)
+  in
+  (db, Array.init n chain)
+
+(* move inheritor [s] (bound through [via]) over to [transmitter] *)
+let repoint db s ~via ~transmitter =
+  ok (Database.unbind db s);
+  let (_ : Surrogate.t) = ok (Database.bind db ~via ~transmitter ~inheritor:s ()) in
+  ()
 
 (* ------------------------------------------------------------------ *)
 (* Column equivalence: random mutation batches against Test_par_diff's
@@ -169,33 +208,129 @@ let test_compaction_preserves_order () =
 
 (* ------------------------------------------------------------------ *)
 (* Dirty-fraction fallback: at threshold 0 any dirty row rebuilds the
-   column from scratch; at threshold 1 the same write is absorbed by
-   refilling cells in place. *)
+   column from scratch; at threshold 1 the same change is absorbed by
+   re-walking cells in place.  A value write dirties nothing (it
+   refreshes), so the rows are dirtied by re-pointing a chain. *)
 
 let test_dirty_fraction_fallback () =
   with_metrics @@ fun () ->
-  let db, objs = flat_db 20 in
-  let where = Expr.(path [ "A" ] > int 5) in
-  let (_ : Surrogate.t list) = compiled_select db ~cls:"All" where in
+  let db, chains = chains_db 20 in
+  let where = Expr.(path [ "Payload" ] > int 5) in
+  let root0, n1, n2 = chains.(0) and root9, _, _ = chains.(9) in
+  let (_ : Surrogate.t list) = compiled_select db ~cls:"Chains" where in
   Plan.set_dirty_threshold 0.;
-  ok (Database.set_attr db (List.hd objs) "A" (Value.Int 100));
+  repoint db n1 ~via:"AllOf_Node0" ~transmitter:root9;
   let rebuilds0 = Obs.counter_value "plan.delta.rebuild" in
-  let rows = compiled_select db ~cls:"All" where in
-  Alcotest.(check bool) "mutated row now matches" true
-    (List.exists (Surrogate.equal (List.hd objs)) rows);
+  let rows = compiled_select db ~cls:"Chains" where in
+  Alcotest.(check bool) "re-pointed chain now matches" true
+    (List.exists (Surrogate.equal n2) rows);
   Alcotest.(check bool) "threshold 0: fallback rebuild fired" true
     (Obs.counter_value "plan.delta.rebuild" > rebuilds0);
   Plan.set_dirty_threshold 1.;
-  ok (Database.set_attr db (List.hd objs) "A" (Value.Int (-1)));
+  repoint db n1 ~via:"AllOf_Node0" ~transmitter:root0;
   let rebuilds1 = Obs.counter_value "plan.delta.rebuild" in
   let cells1 = Obs.counter_value "plan.delta.cells" in
-  let rows = compiled_select db ~cls:"All" where in
-  Alcotest.(check bool) "mutated row dropped again" true
-    (not (List.exists (Surrogate.equal (List.hd objs)) rows));
+  let rows = compiled_select db ~cls:"Chains" where in
+  Alcotest.(check bool) "chain pointed back drops again" true
+    (not (List.exists (Surrogate.equal n2) rows));
   check_int "threshold 1: no fallback rebuild" rebuilds1
     (Obs.counter_value "plan.delta.rebuild");
   Alcotest.(check bool) "threshold 1: cells refilled in place" true
     (Obs.counter_value "plan.delta.cells" > cells1)
+
+(* ------------------------------------------------------------------ *)
+(* Value writes refresh, they do not re-walk: a write moves no chain,
+   so a row whose recorded chain ends at the written owner takes the new
+   local value and every other row is left alone.  Each case ends in
+   parity with the interpreter and a clean self-check. *)
+
+let check_select db what where =
+  let rows = compiled_select db ~cls:"Chains" where in
+  check_rows what (interp_select db ~cls:"Chains" where) rows;
+  match Plan.self_check (Database.store db) with
+  | [] -> ()
+  | ps -> Alcotest.failf "%s: self-check: %s" what (String.concat "; " ps)
+
+let test_root_write_refreshes () =
+  with_metrics @@ fun () ->
+  let db, chains = chains_db 10 in
+  let where = Expr.(path [ "Payload" ] >= int 5) in
+  check_select db "before" where;
+  let refresh0 = Obs.counter_value "plan.delta.refresh" in
+  let cells0 = Obs.counter_value "plan.delta.cells" in
+  let rebuilds0 = Obs.counter_value "plan.delta.rebuild" in
+  let root0, n1, n2 = chains.(0) and root1, _, _ = chains.(1) in
+  ok (Database.set_attr db root0 "Payload" (Value.Int 7));
+  ok (Database.set_attr db root1 "Payload" (Value.Int 8));
+  check_select db "after two root writes" where;
+  check_rows "the written chain now matches, root to leaf" [ root0; n1; n2 ]
+    (List.filter
+       (fun s -> List.exists (Surrogate.equal s) [ root0; n1; n2 ])
+       (compiled_select db ~cls:"Chains" where));
+  check_int "each root and its two inheritors refreshed" (refresh0 + 6)
+    (Obs.counter_value "plan.delta.refresh");
+  check_int "no cell re-walked" cells0 (Obs.counter_value "plan.delta.cells");
+  check_int "no rebuild" rebuilds0 (Obs.counter_value "plan.delta.rebuild")
+
+let test_write_and_rebind_in_one_window () =
+  let db, chains = chains_db 10 in
+  let where = Expr.(path [ "Payload" ] >= int 5) in
+  check_select db "before" where;
+  let root0, _, _ = chains.(0) and root2, _, _ = chains.(2) in
+  let _, n1, _ = chains.(1) in
+  (* write, then move an inheritor onto the written root *)
+  ok (Database.set_attr db root2 "Payload" (Value.Int 0));
+  repoint db n1 ~via:"AllOf_Node0" ~transmitter:root2;
+  check_select db "write then rebind" where;
+  (* move it again, then write the root it now inherits from *)
+  repoint db n1 ~via:"AllOf_Node0" ~transmitter:root0;
+  ok (Database.set_attr db root0 "Payload" (Value.Int 9));
+  check_select db "rebind then write" where
+
+let test_write_then_delete_owner () =
+  let db, chains = chains_db 10 in
+  let where = Expr.(path [ "Payload" ] < int 5) in
+  check_select db "before" where;
+  let root3, _, _ = chains.(3) in
+  ok (Database.set_attr db root3 "Payload" (Value.Int 1));
+  ok (Database.delete db ~force:true root3);
+  check_select db "write then delete the owner" where
+
+(* A value lands in an entity's local attributes without [Store.set_attr]
+   (which refuses inherited attributes) and is announced as a write. *)
+let stray_write db s attr v =
+  let store = Database.store db in
+  let e = ok (Store.get store s) in
+  e.Store.attrs <- Store.Smap.add attr v e.Store.attrs;
+  Store.notify_write ~change:(Store.Ch_attr (s, attr)) store s
+
+let test_stray_value_on_via_hop () =
+  with_metrics @@ fun () ->
+  let db, chains = chains_db 10 in
+  let where = Expr.(path [ "Payload" ] = int 99) in
+  check_select db "before" where;
+  let refresh0 = Obs.counter_value "plan.delta.refresh" in
+  let _, n1, _ = chains.(4) in
+  stray_write db n1 "Payload" (Value.Int 99);
+  check_select db "a Via hop's local value is never read" where;
+  check_rows "no row picks the stray value up" []
+    (compiled_select db ~cls:"Chains" where);
+  check_int "nothing refreshed" refresh0 (Obs.counter_value "plan.delta.refresh")
+
+let test_write_on_unbound_chain_end () =
+  let db, chains = chains_db 10 in
+  let where = Expr.(path [ "Payload" ] = int 42) in
+  let _, n1, n2 = chains.(5) in
+  ok (Database.unbind db n2);
+  check_select db "before" where;
+  (* n2 ends its own chain: unbound, it resolves Null whatever it holds *)
+  stray_write db n2 "Payload" (Value.Int 42);
+  check_select db "write on the unbound chain end" where;
+  check_rows "still Null" [] (compiled_select db ~cls:"Chains" where);
+  let (_ : Surrogate.t) =
+    ok (Database.bind db ~via:"AllOf_Node1" ~transmitter:n1 ~inheritor:n2 ())
+  in
+  check_select db "bound again" where
 
 (* ------------------------------------------------------------------ *)
 (* Change-log overflow: more mutations than Store.change_log_cap lose
@@ -274,47 +409,12 @@ let test_sliding_window_never_rebuilds () =
    log precise change records, so the next select catches up by delta
    exactly as it would after a committed write. *)
 
-(* [n] chains Node0 -> Node1 -> Node2, every node in class "Chains" *)
-let chains_db n =
-  let db = Database.create () in
-  ok (W.chain_schema db ~depth:2);
-  ok (Database.create_class db ~name:"Chains" ~member_type:"Node0");
-  let chain i =
-    let root =
-      ok
-        (Database.new_object db ~cls:"Chains" ~ty:"Node0"
-           ~attrs:[ ("Payload", Value.Int i) ]
-           ())
-    in
-    let link k prev =
-      let s =
-        ok (Database.new_object db ~cls:"Chains" ~ty:("Node" ^ string_of_int k) ())
-      in
-      let (_ : Surrogate.t) =
-        ok
-          (Database.bind db
-             ~via:("AllOf_Node" ^ string_of_int (k - 1))
-             ~transmitter:prev ~inheritor:s ())
-      in
-      s
-    in
-    let n1 = link 1 root in
-    (root, n1, link 2 n1)
-  in
-  (db, Array.init n chain)
-
 let test_abort_stays_on_delta () =
   with_metrics @@ fun () ->
   let db, chains = chains_db 20 in
   let store = Database.store db in
   let where = Expr.(path [ "Payload" ] < int 10) in
-  let select what =
-    let rows = compiled_select db ~cls:"Chains" where in
-    check_rows what (interp_select db ~cls:"Chains" where) rows;
-    match Plan.self_check store with
-    | [] -> ()
-    | ps -> Alcotest.failf "%s: self-check: %s" what (String.concat "; " ps)
-  in
+  let select what = check_select db what where in
   select "before the transaction";
   let rebuilds0 = Obs.counter_value "plan.delta.rebuild" in
   let builds0 = Obs.counter_value "plan.registry.build" in
@@ -511,4 +611,14 @@ let suite =
         (with_plan test_sliding_window_never_rebuilds);
       case "an aborted transaction is caught up by delta"
         (with_plan test_abort_stays_on_delta);
+      case "a root write refreshes its dependents without a re-walk"
+        (with_plan test_root_write_refreshes);
+      case "write and rebind in one window, both orders"
+        (with_plan test_write_and_rebind_in_one_window);
+      case "write then delete the owner in one window"
+        (with_plan test_write_then_delete_owner);
+      case "a stray value on a Via hop does not leak into the column"
+        (with_plan test_stray_value_on_via_hop);
+      case "a write on an unbound chain end leaves it Null"
+        (with_plan test_write_on_unbound_chain_end);
     ] )
