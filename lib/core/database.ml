@@ -8,11 +8,7 @@ type t = {
 
 let ( let* ) = Result.bind
 
-module Obs = Compo_obs.Metrics
 module Trace = Compo_obs.Trace
-
-(* same registry cell as Query's (find-or-create by name) *)
-let h_extent = Obs.histogram ~buckets:Obs.size_buckets "query.select.extent"
 
 let of_parts ?(eager_checks = false) schema store =
   {
@@ -222,16 +218,9 @@ let set_index_planning_enabled b = index_planning := b
 let index_plan t ~cls where =
   if not !index_planning then None
   else
-  let flip = function
-    | Expr.Lt -> Expr.Gt
-    | Expr.Le -> Expr.Ge
-    | Expr.Gt -> Expr.Lt
-    | Expr.Ge -> Expr.Le
-    | op -> op
-  in
   let atom = function
     | Expr.Binop (op, Expr.Path [ attr ], Expr.Const v) -> Some (op, attr, v)
-    | Expr.Binop (op, Expr.Const v, Expr.Path [ attr ]) -> Some (flip op, attr, v)
+    | Expr.Binop (op, Expr.Const v, Expr.Path [ attr ]) -> Some (Expr.flip op, attr, v)
     | _ -> None
   in
   let normalized =
@@ -324,19 +313,9 @@ let select t ~cls ?jobs ?where () =
     | Some rows -> Ok rows
     | None -> (
         Trace.with_span "query.select" ~attrs:[ ("cls", cls) ] @@ fun () ->
-        (* compiled engine first (we already hold the read latch, which
-           is try_scan's jobs > 1 contract) *)
-        let compiled =
-          match where with
-          | Some pred -> Plan.try_scan t.db_store ~cls ~jobs pred
-          | None -> None
-        in
-        match compiled with
-        | Some r -> Result.map fst r
-        | None ->
-            let* members = Store.class_members t.db_store cls in
-            Obs.observe h_extent (float_of_int (List.length members));
-            Ok (Query.filter_candidates ~jobs t.db_store where members))
+        (* we already hold the read latch, which is the scan's jobs > 1
+           contract *)
+        Query.scan t.db_store ~cls ~jobs where)
 
 let select_subobjects t ~parent ~subclass ?jobs ?where () =
   Query.select_subobjects t.db_store ~parent ~subclass ?jobs ?where ()
@@ -402,10 +381,7 @@ let explain_select t ~cls ?where () =
             ex_plan = None;
           } )
   | None -> (
-      let t0 = Unix.gettimeofday () in
-      let* members = Store.class_members t.db_store cls in
-      let t1 = Unix.gettimeofday () in
-      let finish rows plan t2 =
+      let finish rows ~candidates ~access ~filter plan =
         Ok
           ( rows,
             {
@@ -413,14 +389,15 @@ let explain_select t ~cls ?where () =
               ex_access = Query.Seq_scan { extent = cls };
               ex_where = where_str;
               ex_residual = where_str;
-              ex_candidates = List.length members;
+              ex_candidates = candidates;
               ex_rows = List.length rows;
               ex_eval_nodes = Eval.node_count () - nodes0;
-              ex_access_seconds = t1 -. t0;
-              ex_filter_seconds = t2 -. t1;
+              ex_access_seconds = access;
+              ex_filter_seconds = filter;
               ex_plan = plan;
             } )
       in
+      let t0 = Unix.gettimeofday () in
       let compiled =
         match where with
         | Some pred -> Plan.try_scan t.db_store ~cls ~jobs:1 pred
@@ -428,9 +405,15 @@ let explain_select t ~cls ?where () =
       in
       match compiled with
       | Some res ->
+          (* the column is the access path: there is no extent copy to
+             time, the whole scan is the filter stage *)
           let* rows, report = res in
-          finish rows (Some report) (Unix.gettimeofday ())
+          finish rows ~candidates:report.Plan.rp_extent ~access:0.
+            ~filter:(Unix.gettimeofday () -. t0)
+            (Some report)
       | None ->
+          let* members = Store.class_members t.db_store cls in
+          let t1 = Unix.gettimeofday () in
           let rows =
             match where with
             | None -> members
@@ -439,7 +422,9 @@ let explain_select t ~cls ?where () =
                   (fun s -> Query.matching t.db_store ~self:s pred)
                   members
           in
-          finish rows None (Unix.gettimeofday ()))
+          finish rows ~candidates:(List.length members) ~access:(t1 -. t0)
+            ~filter:(Unix.gettimeofday () -. t1)
+            None)
 
 let explain_attr t s name = Inheritance.explain t.db_store s name
 

@@ -85,6 +85,13 @@ let rec equal a b =
     | Exists _), _ ->
       false
 
+let flip = function
+  | Lt -> Gt
+  | Le -> Ge
+  | Gt -> Lt
+  | Ge -> Le
+  | op -> op
+
 let path p = Path p
 let int i = Const (Value.Int i)
 let str s = Const (Value.Str s)

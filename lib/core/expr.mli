@@ -56,6 +56,10 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val equal : t -> t -> bool
 
+val flip : binop -> binop
+(** The comparison that holds with its operands swapped ([c < a] is
+    [a > c]); any other operator is returned unchanged. *)
+
 (** Convenience constructors used by hand-built schemas and tests. *)
 
 val path : string list -> t

@@ -1,6 +1,7 @@
 (* Compiled flat query plans: adjacency registry + closure compilation +
-   materialized resolved-value columns, all delta-maintained against the
-   store's typed change log.  See plan.mli for the contract; the
+   materialized resolved-value columns with a numeric shadow scanned by
+   the numeric kernel, all delta-maintained against the store's typed
+   change log.  See plan.mli for the contract; the
    load-bearing invariant throughout is that a compiled scan keeps a row
    iff the interpreted scan would keep it (same order, same rows), which
    the 3-way differential oracle in test/test_par_diff.ml checks over
@@ -26,10 +27,6 @@ let m_delta_refresh = Obs.counter "plan.delta.refresh"
 let m_delta_rebuild = Obs.counter "plan.delta.rebuild"
 let m_delta_patch = Obs.counter "plan.delta.registry.patch"
 let m_delta_compact = Obs.counter "plan.delta.registry.compact"
-
-(* same registry cell as Query's (find-or-create by name): compiled and
-   interpreted scans feed one extent histogram *)
-let h_extent = Obs.histogram ~buckets:Obs.size_buckets "query.select.extent"
 
 (* ------------------------------------------------------------------ *)
 (* Escape hatches                                                      *)
@@ -141,6 +138,10 @@ and column = {
   mutable col_rows : int Surrogate.Tbl.t;  (* member -> row *)
   mutable col_deps : Surrogate.t list array;  (* row -> resolution chain *)
   col_rdeps : Surrogate.t list Surrogate.Tbl.t;  (* chain entity -> members *)
+  (* numeric shadow, [Cattr] columns only (empty otherwise): row -> the
+     cell as a float, valid where [col_kind] says [k_num] *)
+  mutable col_num : float array;
+  mutable col_kind : Bytes.t;
 }
 
 type Store.plan_slot += Slot of state
@@ -449,31 +450,82 @@ let fill_all store st reg spec marr ~jobs =
 
 let count_true a = Array.fold_left (fun n b -> if b then n + 1 else n) 0 a
 
-let build_column store st reg ~cls ~spec members stamp ~jobs =
-  Obs.incr m_col_build;
-  let marr = Array.of_list members in
+(* The numeric shadow holds a cell that is an [Int] or a non-NaN [Real]
+   and not an error, as the float [Eval.compare_values] compares it as;
+   every other cell ([Null], strings, NaN, error marks) stays boxed. *)
+let k_boxed = '\000'
+let k_num = '\001'
+
+(* the cell's shadow value, NaN where the row must stay boxed *)
+let numeric v err =
+  if err then Float.nan
+  else
+    match v with
+    | Value.Int n -> float_of_int n
+    | Value.Real r -> r
+    | _ -> Float.nan
+
+(* the one place a cell is written: value, error mark, volatile flag
+   (keeping [col_nvol] in step), recorded chain, and the numeric shadow *)
+let set_cell col i ~v ~err ~vol ~deps =
+  col.col_vals.(i) <- v;
+  col.col_err.(i) <- err;
+  if col.col_volatile.(i) <> vol then
+    col.col_nvol <- (col.col_nvol + if vol then 1 else -1);
+  col.col_volatile.(i) <- vol;
+  col.col_deps.(i) <- deps;
+  if Bytes.length col.col_kind > 0 then begin
+    let x = numeric v err in
+    col.col_num.(i) <- x;
+    Bytes.set col.col_kind i (if Float.is_nan x then k_boxed else k_num)
+  end
+
+(* a freshly filled cell for member [m] at row [i], recorded in the
+   reverse-dependency map *)
+let put_cell col i m c =
+  set_cell col i ~v:c.cv ~err:c.ce ~vol:c.cvol ~deps:c.cdeps;
+  List.iter (fun d -> rdeps_add col.col_rdeps d m) c.cdeps
+
+(* give the column fresh, empty rows for the extent [marr] *)
+let reset_rows col marr =
   let n = Array.length marr in
-  let cells = fill_all store st reg spec marr ~jobs in
   let rows = Surrogate.Tbl.create (max 16 (2 * n)) in
   Array.iteri (fun i m -> Surrogate.Tbl.replace rows m i) marr;
-  let rdeps = Surrogate.Tbl.create (max 16 (2 * n)) in
-  Array.iteri
-    (fun i c -> List.iter (fun d -> rdeps_add rdeps d marr.(i)) c.cdeps)
-    cells;
-  let vols = Array.map (fun c -> c.cvol) cells in
-  {
-    col_stamp = stamp;
-    col_cls = cls;
-    col_spec = spec;
-    col_members = marr;
-    col_vals = Array.map (fun c -> c.cv) cells;
-    col_err = Array.map (fun c -> c.ce) cells;
-    col_volatile = vols;
-    col_nvol = count_true vols;
-    col_rows = rows;
-    col_deps = Array.map (fun c -> c.cdeps) cells;
-    col_rdeps = rdeps;
-  }
+  let shadowed = match col.col_spec with Cattr _ -> n | Cpath _ | Cexpr _ -> 0 in
+  col.col_members <- marr;
+  col.col_vals <- Array.make n Value.Null;
+  col.col_err <- Array.make n false;
+  col.col_volatile <- Array.make n false;
+  col.col_nvol <- 0;
+  col.col_rows <- rows;
+  col.col_deps <- Array.make n [];
+  col.col_num <- Array.make shadowed Float.nan;
+  col.col_kind <- Bytes.make shadowed k_boxed
+
+let build_column store st reg ~cls ~spec members stamp ~jobs =
+  Obs.incr m_col_build;
+  let marr = Array.of_list (Lazy.force members) in
+  let cells = fill_all store st reg spec marr ~jobs in
+  let col =
+    {
+      col_stamp = stamp;
+      col_cls = cls;
+      col_spec = spec;
+      col_members = [||];
+      col_vals = [||];
+      col_err = [||];
+      col_volatile = [||];
+      col_nvol = 0;
+      col_rows = Surrogate.Tbl.create 1;
+      col_deps = [||];
+      col_rdeps = Surrogate.Tbl.create (max 16 (2 * Array.length marr));
+      col_num = [||];
+      col_kind = Bytes.empty;
+    }
+  in
+  reset_rows col marr;
+  Array.iteri (fun i c -> put_cell col i marr.(i) c) cells;
+  col
 
 (* ------------------------------------------------------------------ *)
 (* Column delta                                                        *)
@@ -482,66 +534,38 @@ exception Col_rebuild
 
 let refill_row store st reg schema col m i =
   List.iter (fun d -> rdeps_remove col.col_rdeps d m) col.col_deps.(i);
-  let c = fill_cell store st reg schema col.col_spec m in
-  col.col_vals.(i) <- c.cv;
-  col.col_err.(i) <- c.ce;
-  if col.col_volatile.(i) <> c.cvol then
-    col.col_nvol <- (col.col_nvol + if c.cvol then 1 else -1);
-  col.col_volatile.(i) <- c.cvol;
-  col.col_deps.(i) <- c.cdeps;
-  List.iter (fun d -> rdeps_add col.col_rdeps d m) c.cdeps;
+  put_cell col i m (fill_cell store st reg schema col.col_spec m);
   Obs.incr m_delta_cells
 
 (* membership changed: realign to the current extent, copying clean
    cells across by surrogate and filling new or dirty rows *)
 let realign store st reg col members dirty =
   let schema = Store.schema store in
-  let marr = Array.of_list members in
-  let n = Array.length marr in
-  let vals = Array.make n Value.Null in
-  let errs = Array.make n false in
-  let vols = Array.make n false in
-  let deps = Array.make n [] in
-  let rows = Surrogate.Tbl.create (max 16 (2 * n)) in
+  let marr = Array.of_list (Lazy.force members) in
+  let old_members = col.col_members and old_rows = col.col_rows in
+  let vals = col.col_vals and errs = col.col_err in
+  let vols = col.col_volatile and deps = col.col_deps in
   (* members leaving the extent take their rdeps contributions along *)
-  let keep = Surrogate.Tbl.create (max 16 (2 * n)) in
+  let keep = Surrogate.Tbl.create (max 16 (2 * Array.length marr)) in
   Array.iter (fun m -> Surrogate.Tbl.replace keep m ()) marr;
   Array.iteri
     (fun i m ->
       if not (Surrogate.Tbl.mem keep m) then
-        List.iter (fun d -> rdeps_remove col.col_rdeps d m) col.col_deps.(i))
-    col.col_members;
+        List.iter (fun d -> rdeps_remove col.col_rdeps d m) deps.(i))
+    old_members;
+  reset_rows col marr;
   Array.iteri
     (fun i' m ->
-      Surrogate.Tbl.replace rows m i';
-      match Surrogate.Tbl.find_opt col.col_rows m with
+      match Surrogate.Tbl.find_opt old_rows m with
       | Some i when not (Surrogate.Tbl.mem dirty m) ->
-          vals.(i') <- col.col_vals.(i);
-          errs.(i') <- col.col_err.(i);
-          vols.(i') <- col.col_volatile.(i);
-          deps.(i') <- col.col_deps.(i)
+          set_cell col i' ~v:vals.(i) ~err:errs.(i) ~vol:vols.(i) ~deps:deps.(i)
       | found ->
           (match found with
-          | Some i ->
-              List.iter
-                (fun d -> rdeps_remove col.col_rdeps d m)
-                col.col_deps.(i)
+          | Some i -> List.iter (fun d -> rdeps_remove col.col_rdeps d m) deps.(i)
           | None -> ());
-          let c = fill_cell store st reg schema col.col_spec m in
-          vals.(i') <- c.cv;
-          errs.(i') <- c.ce;
-          vols.(i') <- c.cvol;
-          deps.(i') <- c.cdeps;
-          List.iter (fun d -> rdeps_add col.col_rdeps d m) c.cdeps;
+          put_cell col i' m (fill_cell store st reg schema col.col_spec m);
           Obs.incr m_delta_cells)
-    marr;
-  col.col_members <- marr;
-  col.col_vals <- vals;
-  col.col_err <- errs;
-  col.col_volatile <- vols;
-  col.col_nvol <- count_true vols;
-  col.col_rows <- rows;
-  col.col_deps <- deps
+    marr
 
 let apply_column_delta store st reg col members stamp chs =
   let schema = Store.schema store in
@@ -585,8 +609,9 @@ let apply_column_delta store st reg col members stamp chs =
               match Surrogate.Tbl.find_opt col.col_rows m with
               | Some i -> (
                   match col.col_deps.(i) with
-                  | h :: _ when Surrogate.equal h x ->
-                      col.col_vals.(i) <- v;
+                  | h :: _ as deps when Surrogate.equal h x ->
+                      (* a flat-filled cell: never an error, never volatile *)
+                      set_cell col i ~v ~err:false ~vol:false ~deps;
                       Obs.incr m_delta_refresh
                   | _ -> ())
               | None -> ())
@@ -796,14 +821,116 @@ let rec compile counter slots expr =
       | _ -> None)
 
 (* ------------------------------------------------------------------ *)
+(* The numeric kernel                                                   *)
+
+(* A comparison of one attribute with a numeric constant, or an [and] of
+   such comparisons, skips the closure program: each comparison becomes
+   a leaf read straight off its column's numeric shadow.  On a shadowed
+   row [Eval.compare_values] is the float comparison, fixed per
+   operator at compile time as "x lies in [lo, hi]" ([<>] negates [=]):
+   on non-NaN floats [x < c] is [x <= pred c] unless no float lies
+   below [c], and dually for [>].  A boxed row takes the closure
+   program's own route: an error drops it, anything else compares
+   boxed.  A false or erroring conjunct drops the row in both engines,
+   so the conjunction is the leaves' [&&]. *)
+type leaf = {
+  lf_slot : int;
+  lf_lo : float;
+  lf_hi : float;
+  lf_neg : bool;
+  lf_op : Expr.binop;  (* for boxed rows *)
+  lf_const : Value.t;
+}
+
+let empty_interval = (Float.infinity, Float.neg_infinity)
+
+let interval op c =
+  match op with
+  | Expr.Eq | Expr.Ne -> (c, c)
+  | Expr.Le -> (Float.neg_infinity, c)
+  | Expr.Ge -> (c, Float.infinity)
+  | Expr.Lt ->
+      if c = Float.neg_infinity then empty_interval
+      else (Float.neg_infinity, Float.pred c)
+  | Expr.Gt ->
+      if c = Float.infinity then empty_interval else (Float.succ c, Float.infinity)
+  | _ -> assert false
+
+let rec kernel_leaves slots expr =
+  let leaf op attr v =
+    let c = numeric v false in
+    if Float.is_nan c then None
+    else
+      let lo, hi = interval op c in
+      Some
+        [
+          {
+            lf_slot = slot_index slots (Cattr attr);
+            lf_lo = lo;
+            lf_hi = hi;
+            lf_neg = op = Expr.Ne;
+            lf_op = op;
+            lf_const = v;
+          };
+        ]
+  in
+  match expr with
+  | Expr.Binop (Expr.And, a, b) -> (
+      match kernel_leaves slots a with
+      | None -> None
+      | Some la -> Option.map (fun lb -> la @ lb) (kernel_leaves slots b))
+  | Expr.Binop
+      ( ((Expr.Eq | Expr.Ne | Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge) as op),
+        Expr.Path [ attr ],
+        Expr.Const v ) ->
+      leaf op attr v
+  | Expr.Binop
+      ( ((Expr.Eq | Expr.Ne | Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge) as op),
+        Expr.Const v,
+        Expr.Path [ attr ] ) ->
+      leaf (Expr.flip op) attr v
+  | _ -> None
+
+(* AND leaf [l]'s verdict on rows [first, last) of [col] into [mask]:
+   one loop per leaf, its bounds in registers, the shadowed rows tested
+   without a branch; the row range is bounds-checked once, up front *)
+let mark_leaf col l mask first last =
+  let kind = col.col_kind and num = col.col_num in
+  if
+    first < 0
+    || last > Bytes.length kind
+    || last > Array.length num
+    || last > Bytes.length mask
+  then
+    invalid_arg "Plan.mark_leaf";
+  let lo = l.lf_lo and hi = l.lf_hi and neg = Bool.to_int l.lf_neg in
+  for i = first to last - 1 do
+    let hit =
+      if Bytes.unsafe_get kind i = k_num then
+        let x = Array.unsafe_get num i in
+        Bool.to_int (lo <= x) land Bool.to_int (x <= hi) lxor neg
+      else
+        Bool.to_int
+          ((not col.col_err.(i))
+          && cmp_holds l.lf_op (Eval.compare_values col.col_vals.(i) l.lf_const))
+    in
+    Bytes.unsafe_set mask i
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get mask i) land hit))
+  done
+
+(* ------------------------------------------------------------------ *)
 (* The compiled scan                                                    *)
 
 type report = {
   rp_closures : int;
+  rp_kernel : int;
   rp_columns : (string * int * bool) list;
   rp_nodes : int;
   rp_edges : int;
+  rp_extent : int;
 }
+
+type program = Kernel of leaf list | Closures of (cctx -> int -> Value.t)
 
 let scans = ref 0
 let compiled_scans () = !scans
@@ -817,12 +944,19 @@ let try_scan store ~cls ~jobs expr =
     None
   end
   else
-    match Store.class_members store cls with
+    match Store.class_member_type store cls with
     | Error _ -> None (* let the interpreted path surface the error *)
-    | Ok members -> (
-        let counter = ref 0 in
+    | Ok _ -> (
         let slots = ref [] in
-        match compile counter slots expr with
+        let counter = ref 0 in
+        let program =
+          match kernel_leaves slots expr with
+          | Some leaves -> Some (Kernel leaves)
+          | None ->
+              slots := [];
+              Option.map (fun f -> Closures f) (compile counter slots expr)
+        in
+        match program with
         | None ->
             Obs.incr m_fallback;
             None
@@ -831,6 +965,11 @@ let try_scan store ~cls ~jobs expr =
             let stamp = Store.plan_epoch store in
             let specs = Array.of_list (List.rev !slots) in
             let built = Array.make (Array.length specs) false in
+            (* a current column holds the extent: the list is copied
+               only to build or realign one *)
+            let members =
+              lazy (Result.value ~default:[] (Store.class_members store cls))
+            in
             (* readers under one read latch see one store state, but the
                catch-up patches shared structures: one reader at a time;
                the scan below only reads them *)
@@ -847,18 +986,37 @@ let try_scan store ~cls ~jobs expr =
                     c)
                   specs )
             in
-            let ctx = { cc_cols = cols } in
-            let test i =
-              match program ctx i with
-              | Value.Bool b -> b
-              | _ -> false
-              | exception Row_error -> false
+            (* every column of one scan is aligned to the same extent *)
+            let marr =
+              if Array.length cols > 0 then cols.(0).col_members
+              else Array.of_list (Lazy.force members)
             in
-            Obs.observe h_extent (float_of_int (List.length members));
-            let rows =
-              if jobs <= 1 then List.filteri (fun i _ -> test i) members
-              else Pool.filteri_list ~jobs (fun i _ -> test i) members
+            let n = Array.length marr in
+            (* the program marks passing rows of [first, last) in [mask];
+               the pool runs it one row at a time *)
+            let mask = Bytes.make n '\001' in
+            let mark =
+              match program with
+              | Kernel leaves ->
+                  fun first last ->
+                    List.iter
+                      (fun l -> mark_leaf cols.(l.lf_slot) l mask first last)
+                      leaves
+              | Closures f ->
+                  let ctx = { cc_cols = cols } in
+                  fun first last ->
+                    for i = first to last - 1 do
+                      match f ctx i with
+                      | Value.Bool true -> ()
+                      | _ | (exception Row_error) -> Bytes.set mask i '\000'
+                    done
             in
+            if jobs <= 1 then mark 0 n
+            else Pool.iter_range ~jobs n (fun i -> mark i (i + 1));
+            let rows = ref [] in
+            for i = n - 1 downto 0 do
+              if Bytes.get mask i <> '\000' then rows := marr.(i) :: !rows
+            done;
             incr scans;
             Obs.incr m_compiled;
             let rp_columns =
@@ -868,14 +1026,22 @@ let try_scan store ~cls ~jobs expr =
                      (spec_label spec, stamp, built.(i)))
                    specs)
             in
+            (* the kernel's one closure is its row marker *)
+            let rp_closures, rp_kernel =
+              match program with
+              | Kernel leaves -> (1, List.length leaves)
+              | Closures _ -> (!counter, 0)
+            in
             Some
               (Ok
-                 ( rows,
+                 ( !rows,
                    {
-                     rp_closures = !counter;
+                     rp_closures;
+                     rp_kernel;
                      rp_columns;
                      rp_nodes = reg.reg_len - reg.reg_dead;
                      rp_edges = reg.reg_edges;
+                     rp_extent = n;
                    } )))
 
 (* ------------------------------------------------------------------ *)
@@ -896,8 +1062,9 @@ let registry_live store =
 (* one current column against a from-scratch fill: values, error marks
    and recorded chains row by row (the value refresh trusts each chain's
    head), the reverse-dependency map as the exact inverse of the chains
-   (a pair missing there is a write that would never reach its row), and
-   the volatile count the sweep is gated on *)
+   (a pair missing there is a write that would never reach its row), the
+   volatile count the sweep is gated on, and the numeric shadow row by
+   row against the boxed cells the kernel falls back to *)
 let check_column add store st reg schema cls col =
   let report fmt = Printf.ksprintf add fmt in
   let label = spec_label col.col_spec in
@@ -951,7 +1118,31 @@ let check_column add store st reg schema cls col =
     col.col_rdeps;
   if col.col_nvol <> count_true col.col_volatile then
     report "column %s/%s volatile count %d, %d volatile row(s)" cls label
-      col.col_nvol (count_true col.col_volatile)
+      col.col_nvol (count_true col.col_volatile);
+  match col.col_spec with
+  | Cpath _ | Cexpr _ -> ()
+  | Cattr _ ->
+      let n = Array.length col.col_members in
+      if Bytes.length col.col_kind <> n || Array.length col.col_num <> n then
+        report "column %s/%s numeric shadow has %d/%d rows, column has %d" cls
+          label (Bytes.length col.col_kind) (Array.length col.col_num) n
+      else
+        (* the shadow against the boxed cell it mirrors *)
+        Array.iteri
+          (fun i v ->
+            let x = numeric v col.col_err.(i) in
+            let agrees =
+              if Float.is_nan x then Bytes.get col.col_kind i = k_boxed
+              else
+                Bytes.get col.col_kind i = k_num
+                && Float.equal col.col_num.(i) x
+            in
+            if not agrees then
+              report "column %s/%s row %d: numeric shadow %s/%g, cell %s/%b" cls
+                label i
+                (if Bytes.get col.col_kind i = k_num then "num" else "boxed")
+                col.col_num.(i) (Value.to_string v) col.col_err.(i))
+          col.col_vals
 
 (* the column-equivalence invariant: every delta-maintained structure
    that claims to be current must equal a from-scratch derivation *)

@@ -41,7 +41,25 @@
        re-walk ([plan.delta.cells]).  A dirty fraction past
        {!set_dirty_threshold} falls back to a from-scratch rebuild.
        Interpreter-filled cells (quantifiers, fallback shapes) are
-       {e volatile}: any mutation at all refreshes them.}}
+       {e volatile}: any mutation at all refreshes them.}
+    {- {b Numeric shadow}: every single-attribute column also keeps a
+       [float array] with a per-row kind byte.  A cell that is an [Int]
+       (as [float_of_int]) or a non-NaN [Real], and not an error, is
+       valid there; [Null], strings, NaN and error cells stay boxed.
+       This is exactly how {!Eval.compare_values} orders numbers (Int
+       against Int or Real as floats, so 2{^53} + 1 = 2{^53}).  Every
+       cell write goes through one helper that keeps the shadow
+       current.}
+    {- {b Numeric kernel}: a predicate [attr <cmp> numeric-const]
+       (either side), or an [and] of such comparisons, compiles to
+       leaves instead of closures, each fixed per operator at compile
+       time as an interval test.  The scan runs one loop per leaf over
+       the column's own rows, testing shadowed rows without a branch
+       or a [Value.t], and boxed rows the way the closure program
+       would; it then collects the passing members from the column.
+       No per-row closure call, no copy of the extent list (that is
+       forced only when a column is built or realigned).  Anything
+       else runs the closure program.}}
 
     The compiled path stands down while read hooks are installed: hooks
     carry the per-hop notifications the transaction layer turns into
@@ -52,13 +70,19 @@
     runs outside it. *)
 
 type report = {
-  rp_closures : int;  (** closures in the compiled predicate program *)
+  rp_closures : int;
+      (** closures in the compiled predicate program (1 for the numeric
+          kernel: its row test) *)
+  rp_kernel : int;
+      (** comparisons served by the numeric kernel; 0 when the closure
+          program ran *)
   rp_columns : (string * int * bool) list;
       (** materialized columns used: (spec label, plan-epoch stamp,
           built from scratch by this call — [false] means served from
           cache or caught up by delta) *)
   rp_nodes : int;  (** adjacency registry size: live entities *)
   rp_edges : int;  (** adjacency registry size: transmitter edges *)
+  rp_extent : int;  (** rows scanned: the class extent's size *)
 }
 
 val enabled : unit -> bool
@@ -102,7 +126,9 @@ val try_scan :
     the compiled engine stands down (disabled, hooks installed, or
     unknown class) and the caller must run the interpreted plan.
     [Some rows] are bit-identical — order and membership — to the
-    interpreted scan's.  With [jobs > 1] the caller must hold the
+    interpreted scan's.  The class is checked with
+    {!Store.class_member_type}; the extent list is copied only when a
+    column has to be built or realigned.  With [jobs > 1] the caller must hold the
     store's read latch (same contract as {!Query.filter_candidates}). *)
 
 val compiled_scans : unit -> int
@@ -124,8 +150,9 @@ val self_check : Store.t -> string list
     equal a from-scratch derivation — registry slots against live store
     entities and current transmitter bindings, column rows against the
     class extent, every cell's value, error mark and recorded chain
-    against a fresh fill, and each column's reverse-dependency map as
-    the exact inverse of its chains.  Returns
+    against a fresh fill, each column's reverse-dependency map as
+    the exact inverse of its chains, and each single-attribute column's
+    numeric shadow (kind byte and float) against its boxed cells.  Returns
     human-readable problem descriptions; [[]] means consistent.  Stale
     structures (not yet caught up) are skipped, since they make no
     currency claim. *)

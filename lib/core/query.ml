@@ -4,8 +4,15 @@ module Obs = Compo_obs.Metrics
 module Trace = Compo_obs.Trace
 module Pool = Compo_par.Pool
 
-(* select counts live in the "query.select" span histogram *)
+(* the one registration of the extent histogram (select counts live in
+   the "query.select" span histogram); a compiled scan reports the size
+   it scanned, an interpreted one pays a [List.length] only while
+   metrics are on *)
 let h_extent = Obs.histogram ~buckets:Obs.size_buckets "query.select.extent"
+
+let observe_extent members =
+  if Obs.enabled () then
+    Obs.observe h_extent (float_of_int (List.length members))
 
 (* parallel selects that found read hooks installed and ran sequentially *)
 let m_fallback = Obs.counter "par.select.fallback"
@@ -35,35 +42,39 @@ let latched_jobs store jobs =
   end
   else jobs
 
+(* compiled engine first; [None] means it stands down (disabled, hooks,
+   unknown class — the delta-maintained plan state makes this cheap to
+   take even on write-heavy interleavings) *)
+let scan store ~cls ~jobs where =
+  let compiled =
+    match where with
+    | Some pred -> Plan.try_scan store ~cls ~jobs pred
+    | None -> None
+  in
+  match compiled with
+  | Some r ->
+      let* rows, report = r in
+      Obs.observe h_extent (float_of_int report.Plan.rp_extent);
+      Ok rows
+  | None ->
+      let* members = Store.class_members store cls in
+      observe_extent members;
+      Ok (filter_candidates ~jobs store where members)
+
 let select store ~cls ?jobs ?where () =
   Trace.with_span "query.select" ~attrs:[ ("cls", cls) ] @@ fun () ->
   let jobs = Pool.effective_jobs jobs in
-  let interpreted jobs =
-    let* members = Store.class_members store cls in
-    Obs.observe h_extent (float_of_int (List.length members));
-    Ok (filter_candidates ~jobs store where members)
-  in
-  let run jobs =
-    (* compiled engine first; [None] means it stands down (disabled,
-       hooks, unknown class — the delta-maintained plan state makes
-       this cheap to take even on write-heavy interleavings) *)
-    match where with
-    | Some pred -> (
-        match Plan.try_scan store ~cls ~jobs pred with
-        | Some r -> Result.map fst r
-        | None -> interpreted jobs)
-    | None -> interpreted jobs
-  in
-  if jobs <= 1 then run 1
+  if jobs <= 1 then scan store ~cls ~jobs:1 where
   else
-    Store.with_read_latch store @@ fun () -> run (latched_jobs store jobs)
+    Store.with_read_latch store @@ fun () ->
+    scan store ~cls ~jobs:(latched_jobs store jobs) where
 
 let select_subobjects store ~parent ~subclass ?jobs ?where () =
   Trace.with_span "query.select" ~attrs:[ ("subclass", subclass) ] @@ fun () ->
   let jobs = Pool.effective_jobs jobs in
   let run jobs =
     let* members = Inheritance.subclass_members store parent subclass in
-    Obs.observe h_extent (float_of_int (List.length members));
+    observe_extent members;
     Ok (filter_candidates ~jobs store where members)
   in
   if jobs <= 1 then run 1
@@ -145,9 +156,13 @@ let pp_explain ?(timings = false) ppf ex =
   (match ex.ex_plan with
   | None -> Format.fprintf ppf "@,  plan: interpreted"
   | Some r ->
-      Format.fprintf ppf
-        "@,  plan: compiled, %d closure(s), adjacency %d node(s) / %d edge(s)"
-        r.Plan.rp_closures r.Plan.rp_nodes r.Plan.rp_edges;
+      if r.Plan.rp_kernel > 0 then
+        Format.fprintf ppf "@,  plan: compiled, numeric kernel, %d comparison(s)"
+          r.Plan.rp_kernel
+      else
+        Format.fprintf ppf "@,  plan: compiled, %d closure(s)" r.Plan.rp_closures;
+      Format.fprintf ppf ", adjacency %d node(s) / %d edge(s)" r.Plan.rp_nodes
+        r.Plan.rp_edges;
       if r.Plan.rp_columns <> [] then
         Format.fprintf ppf "@,  columns: %s"
           (String.concat ", "

@@ -43,6 +43,14 @@ val filter_candidates :
     [jobs] is).  Exposed for {!Database}'s planned selects, which run it
     over an index-produced candidate list under their own latch. *)
 
+val scan :
+  Store.t -> cls:string -> jobs:int -> Expr.t option ->
+  (Surrogate.t list, Errors.t) result
+(** The unplanned access path of {!select} without its span or latch:
+    the compiled engine ({!Plan.try_scan}) when it serves, else the
+    class extent filtered by the interpreter.  With [jobs > 1] the
+    caller must hold the store's read latch. *)
+
 val latched_jobs : Store.t -> int -> int
 (** Degrade a requested parallelism to 1 when read hooks are installed
     (counting [par.select.fallback]).  Only meaningful while holding the

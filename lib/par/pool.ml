@@ -214,8 +214,9 @@ let filter_list ~jobs pred xs =
   end
 
 (* side-effecting fan-out over [0, n): same chunk arithmetic as the
-   filters; used by the plan layer to fill materialized-column cells in
-   parallel (each index owns a distinct result slot, so no merge) *)
+   filters; used by the plan layer to fill materialized-column cells and
+   to mark the rows of a compiled scan in parallel (each index owns a
+   distinct result slot, so no merge) *)
 let iter_range ~jobs n f =
   if jobs <= 1 || n < 2 * min_chunk then
     for i = 0 to n - 1 do
@@ -242,35 +243,3 @@ let iter_range ~jobs n f =
     end
   end
 
-(* index-aware twin of [filter_list]: same chunk arithmetic, so the two
-   produce identical par.* metric streams for identical inputs (the CLI
-   cram tests pin par.chunks totals) *)
-let filteri_list ~jobs pred xs =
-  if jobs <= 1 then List.filteri pred xs
-  else begin
-    let arr = Array.of_list xs in
-    let len = Array.length arr in
-    let nchunks =
-      max 1 (min (jobs * chunks_per_job) ((len + min_chunk - 1) / min_chunk))
-    in
-    if nchunks <= 1 then List.filteri pred xs
-    else begin
-      let results = Array.make nchunks [] in
-      let base = len / nchunks and extra = len mod nchunks in
-      let start k = (k * base) + min k extra in
-      let tasks =
-        Array.init nchunks (fun k () ->
-            let lo = start k and hi = start (k + 1) in
-            let kept = ref [] in
-            for i = hi - 1 downto lo do
-              if pred i arr.(i) then kept := arr.(i) :: !kept
-            done;
-            results.(k) <- !kept)
-      in
-      run ~jobs tasks;
-      let t0 = Unix.gettimeofday () in
-      let out = List.concat (Array.to_list results) in
-      Metrics.observe h_merge (Unix.gettimeofday () -. t0);
-      out
-    end
-  end

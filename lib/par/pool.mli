@@ -70,14 +70,8 @@ val iter_range : jobs:int -> int -> (int -> unit) -> unit
     domain-safe and each index must own its writes (distinct result
     slots); there is no merge step and no ordering guarantee between
     chunks.  Small ranges and [jobs <= 1] run sequentially on the
-    caller.  The plan layer fills materialized-column cells through
-    this. *)
-
-val filteri_list : jobs:int -> (int -> 'a -> bool) -> 'a list -> 'a list
-(** {!filter_list} with the element's position passed to the predicate
-    (the position in [xs], stable across chunking).  Same chunk shape
-    and metrics as {!filter_list}; compiled column scans use the index
-    to address materialized value arrays. *)
+    caller.  The plan layer fills materialized-column cells and runs
+    parallel compiled scans through this. *)
 
 val shutdown : unit -> unit
 (** Stop and join every pool worker.  Registered [at_exit]; safe to

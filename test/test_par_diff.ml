@@ -620,6 +620,243 @@ let test_edges () =
     "no predicate, jobs=64" true
     (List.equal Surrogate.equal all_seq all_par)
 
+(* ------------------------------------------------------------------ *)
+(* The numeric kernel's seams.  A comparison of one attribute with a
+   numeric constant, or an [and] of such comparisons, runs on the
+   column's float shadow instead of the closure program, so these rounds
+   draw exactly those shapes over the values where a float scan could
+   drift from [Eval.compare_values]: an Integer and a Real attribute
+   (the Real one also holding Int values), Null cells from roots created
+   without the attribute and from unbound chain ends, NaN, infinities
+   and -0.0, Int values past 2^53 where int and float order disagree,
+   and constants of both domains on either side of the operator.  Every
+   round runs the 3-way check after a mutation batch, then
+   [Plan.self_check], which compares each shadow with its boxed cells. *)
+
+let num_ty k = "N" ^ string_of_int k
+let num_rel k = "AllOf_N" ^ string_of_int k
+let two53 = 9007199254740992
+
+let int_pool =
+  [| 0; 1; -1; 7; 19; two53; two53 + 1; two53 + 2; -two53 - 1; max_int; min_int |]
+
+let real_pool =
+  [| 0.; -0.; 0.5; -7.25; 7.; 19.5; float_of_int two53; Float.nan;
+     Float.infinity; Float.neg_infinity; 1e300 |]
+
+let random_int r =
+  if rand r 2 = 0 then Value.Int (rand r 20) else Value.Int (pick r int_pool)
+
+(* the Real attribute takes Int values as well: its domain admits both *)
+let random_real r =
+  match rand r 3 with
+  | 0 -> Value.Real (pick r real_pool)
+  | 1 -> Value.Real (float_of_int (rand r 40) /. 2.)
+  | _ -> random_int r
+
+let numeric_db r =
+  let db = Database.create () in
+  let depth = 1 + rand r 3 in
+  ok
+    (Database.define_obj_type db
+       {
+         Schema.ot_name = num_ty 0;
+         ot_inheritor_in = None;
+         ot_attrs =
+           [
+             { Schema.attr_name = "I"; attr_domain = Domain.Integer };
+             { Schema.attr_name = "X"; attr_domain = Domain.Real };
+           ];
+         ot_subclasses = [];
+         ot_subrels = [];
+         ot_constraints = [];
+       });
+  for k = 0 to depth - 1 do
+    ok
+      (Database.define_inher_rel_type db
+         {
+           Schema.it_name = num_rel k;
+           it_transmitter = num_ty k;
+           it_inheritor = Some (num_ty (k + 1));
+           it_inheriting = [ "I"; "X" ];
+           it_attrs = [];
+           it_subclasses = [];
+           it_constraints = [];
+         });
+    ok
+      (Database.define_obj_type db
+         {
+           Schema.ot_name = num_ty (k + 1);
+           ot_inheritor_in = Some (num_rel k);
+           ot_attrs = [];
+           ot_subclasses = [];
+           ot_subrels = [];
+           ot_constraints = [];
+         })
+  done;
+  ok (Database.create_class db ~name:"Num" ~member_type:(num_ty 0));
+  (* a root leaves out each attribute one time in four (a Null cell); an
+     inheritor stays unbound one time in four (a Null chain end) *)
+  let levels = Array.make (depth + 1) [] in
+  for i = 0 to 99 + rand r 400 do
+    let k = if i = 0 then 0 else rand r (depth + 1) in
+    let k = if k > 0 && levels.(k - 1) = [] then 0 else k in
+    let attrs =
+      if k > 0 then []
+      else
+        (if rand r 4 = 0 then [] else [ ("I", random_int r) ])
+        @ if rand r 4 = 0 then [] else [ ("X", random_real r) ]
+    in
+    let s = ok (Database.new_object db ~cls:"Num" ~ty:(num_ty k) ~attrs ()) in
+    if k > 0 && rand r 4 > 0 then
+      ignore
+        (ok
+           (Database.bind db ~via:(num_rel (k - 1))
+              ~transmitter:(pick r (Array.of_list levels.(k - 1)))
+              ~inheritor:s ()));
+    levels.(k) <- s :: levels.(k)
+  done;
+  (db, levels)
+
+(* one leaf: either attribute, any comparison, a constant of either
+   domain on either side; one leaf in ten compares with a string, which
+   the kernel declines *)
+let random_leaf r =
+  let attr = Expr.Path [ pick r [| "I"; "X" |] ] in
+  let op = pick r Expr.[| Eq; Ne; Lt; Le; Gt; Ge |] in
+  let c =
+    match rand r 10 with
+    | 0 -> Value.Str "x"
+    | 1 | 2 | 3 | 4 -> random_int r
+    | _ -> random_real r
+  in
+  if rand r 2 = 0 then Expr.Binop (op, attr, Expr.Const c)
+  else Expr.Binop (op, Expr.Const c, attr)
+
+let random_conjunction r =
+  let rec go n e =
+    if n = 0 then e else go (n - 1) (Expr.Binop (Expr.And, e, random_leaf r))
+  in
+  go (rand r 3) (random_leaf r)
+
+let numeric_mutation r db levels =
+  match rand r 3 with
+  | 0 | 1 -> (
+      match levels.(0) with
+      | [] -> ()
+      | roots ->
+          let s = pick r (Array.of_list roots) in
+          if rand r 2 = 0 then ok (Database.set_attr db s "I" (random_int r))
+          else ok (Database.set_attr db s "X" (random_real r)))
+  | _ -> (
+      let depth = Array.length levels - 1 in
+      let k = 1 + rand r depth in
+      match (levels.(k), levels.(k - 1)) with
+      | [], _ | _, [] -> ()
+      | here, above ->
+          let s = pick r (Array.of_list here) in
+          ignore (Database.unbind db s);
+          if rand r 4 > 0 then
+            ignore
+              (ok
+                 (Database.bind db ~via:(num_rel (k - 1))
+                    ~transmitter:(pick r (Array.of_list above))
+                    ~inheritor:s ())))
+
+(* rounds whose explain reported the numeric kernel *)
+let kernel_rounds = ref 0
+
+let check_numeric_seed seed =
+  let r = make_rng seed in
+  let db, levels = numeric_db r in
+  let plan0 = Plan.enabled () in
+  Fun.protect ~finally:(fun () -> Plan.set_enabled plan0) @@ fun () ->
+  for round = 0 to 7 do
+    for _ = 0 to rand r 4 do
+      numeric_mutation r db levels
+    done;
+    let where = random_conjunction r in
+    let src = Expr.to_string where in
+    let run_with enabled jobs =
+      Plan.set_enabled enabled;
+      ok (Database.select db ~cls:"Num" ~jobs ~where ())
+    in
+    let interp = run_with false 1 in
+    let seq = run_with true 1 in
+    let par = run_with true 4 in
+    let diff label a b =
+      if not (List.equal Surrogate.equal a b) then
+        Alcotest.failf
+          "seed %d round %d: %s rows differ for %s\n\
+           reference: %d row(s)\n\
+           other:     %d row(s)\n\
+           plan:\n\
+           %s"
+          seed round label src (List.length a) (List.length b)
+          (explain_both db ~cls:"Num" (Some where))
+    in
+    diff "interpreted vs compiled" interp seq;
+    diff "compiled vs parallel-compiled" seq par;
+    (match Database.explain_select db ~cls:"Num" ~where () with
+    | Ok (_, { Query.ex_plan = Some rp; _ }) when rp.Plan.rp_kernel > 0 ->
+        incr kernel_rounds
+    | Ok _ | Error _ -> ());
+    match Plan.self_check (Database.store db) with
+    | [] -> ()
+    | problems ->
+        Alcotest.failf "seed %d round %d: plan state diverged:\n%s" seed round
+          (String.concat "\n" problems)
+  done
+
+let test_numeric_kernel () =
+  kernel_rounds := 0;
+  for seed = 6000 to 6039 do
+    check_numeric_seed seed
+  done;
+  Alcotest.(check bool)
+    "numeric kernel engaged" true (!kernel_rounds > 0)
+
+(* Past 2^53, [Eval.compare_values] compares Int with Int as floats, so
+   2^53 + 1 = 2^53 holds; the kernel must agree, from either side, and
+   must be what ran. *)
+let test_kernel_past_2_53 () =
+  let r = make_rng 77 in
+  let db, levels = numeric_db r in
+  let store = Database.store db in
+  let a, b =
+    match levels.(0) with
+    | a :: b :: _ -> (a, b)
+    | _ -> Alcotest.fail "seed 77 grows fewer than two roots"
+  in
+  ok (Database.set_attr db a "I" (Value.Int two53));
+  ok (Database.set_attr db b "I" (Value.Int (two53 + 1)));
+  let plan0 = Plan.enabled () in
+  Fun.protect ~finally:(fun () -> Plan.set_enabled plan0) @@ fun () ->
+  List.iter
+    (fun where ->
+      let src = Expr.to_string where in
+      Plan.set_enabled false;
+      let interp = ok (Database.select db ~cls:"Num" ~where ()) in
+      Plan.set_enabled true;
+      let seq = ok (Database.select db ~cls:"Num" ~where ()) in
+      Alcotest.(check bool)
+        (src ^ ": both 2^53 and 2^53 + 1 match")
+        true
+        (List.exists (Surrogate.equal a) interp
+        && List.exists (Surrogate.equal b) interp);
+      Alcotest.(check (list surrogate)) (src ^ ": compiled rows") interp seq;
+      match Database.explain_select db ~cls:"Num" ~where () with
+      | Ok (_, { Query.ex_plan = Some rp; _ }) ->
+          check_int (src ^ ": kernel comparisons") 1 rp.Plan.rp_kernel
+      | Ok _ | Error _ -> Alcotest.failf "%s: the compiled engine stood down" src)
+    [
+      Expr.Binop (Expr.Eq, Expr.Path [ "I" ], Expr.Const (Value.Int (two53 + 1)));
+      Expr.Binop (Expr.Eq, Expr.Const (Value.Int two53), Expr.Path [ "I" ]);
+      Expr.Binop
+        (Expr.Le, Expr.Const (Value.Real (float_of_int two53)), Expr.Path [ "I" ]);
+    ];
+  check_int "plan state consistent" 0 (List.length (Plan.self_check store))
+
 let suite =
   ( "par-diff",
     [
@@ -634,4 +871,7 @@ let suite =
       case
         "transactional: 160 committed/aborted rounds under the same oracle"
         test_txn_interleaved;
+      case "numeric kernel: 320 rounds over its seams" test_numeric_kernel;
+      case "numeric kernel: Int past 2^53 compares as float"
+        test_kernel_past_2_53;
     ] )
