@@ -93,25 +93,23 @@ let unbind t s = Inheritance.unbind t.db_store s
 let transmitter_of t s = Inheritance.transmitter_of t.db_store s
 let inheritors_of t s = Inheritance.inheritors_of t.db_store s
 let links_of t s = Inheritance.links_of t.db_store s
-let is_stale t s = Inheritance.is_stale t.db_store s
-let stale_note t s = Inheritance.stale_note t.db_store s
-let acknowledge t s = Inheritance.acknowledge t.db_store s
+let is_stale t s = Store.is_stale t.db_store s
+let stale_note t s = Store.stale_note t.db_store s
+let acknowledge t s = Store.acknowledge t.db_store s
 let get_attr t s name = Inheritance.attr t.db_store s name
 
 let set_attr t s name value =
   if not t.eager_checks then Inheritance.set_attr t.db_store s name value
   else
-    (* write first WITHOUT stamping, validate, then stamp only when the
-       write survives -- a rolled-back update must not flag inheritors *)
+    (* write first WITHOUT committing it, validate, then record it only
+       when the write survives -- a rolled-back update must not flag
+       inheritors *)
     let* old = Store.local_attr t.db_store s name in
     let* () = Store.set_attr t.db_store s name value in
     let* vs = Constraints.check_entity t.db_store s in
     match vs with
     | [] ->
-        let note = Printf.sprintf "transmitter attribute %s updated" name in
-        let (_ : Surrogate.t list) =
-          Inheritance.stamp_stale t.db_store s ~attr:name ~note
-        in
+        Store.record_write t.db_store s name;
         Ok ()
     | v :: _ ->
         (* roll the write back before reporting *)

@@ -2,8 +2,8 @@
 
     Composes {!Schema}, {!Store}, {!Inheritance}, {!Constraints}, {!Query},
     and {!Composite} into the API applications use: schema definition,
-    object/relationship creation, inheritance-aware reads, writes with
-    staleness stamping, and constraint validation.
+    object/relationship creation, inheritance-aware reads, writes that
+    mark dependent inheritance links stale, and constraint validation.
 
     Constraint checking policy: with [eager_checks] on (default off), every
     attribute write and subrelationship creation validates the affected
@@ -64,6 +64,9 @@ val transmitter_of : t -> Surrogate.t -> (Surrogate.t option, Errors.t) result
 val inheritors_of : t -> Surrogate.t -> (Surrogate.t list, Errors.t) result
 val links_of : t -> Surrogate.t -> (Surrogate.t list, Errors.t) result
 val is_stale : t -> Surrogate.t -> (bool, Errors.t) result
+(** Whether a committed transmitter write reached the link since it was
+    bound or last acknowledged (derived on demand, O(chain depth)). *)
+
 val stale_note : t -> Surrogate.t -> (string, Errors.t) result
 val acknowledge : t -> Surrogate.t -> (unit, Errors.t) result
 
@@ -73,9 +76,10 @@ val get_attr : t -> Surrogate.t -> string -> (Value.t, Errors.t) result
 (** Inheritance-aware read. *)
 
 val set_attr : t -> Surrogate.t -> string -> Value.t -> (unit, Errors.t) result
-(** Local write with staleness stamping of dependent inheritance links;
-    rejects inherited attributes.  Under [eager_checks], validates the
-    entity and rolls the write back on violation. *)
+(** Local write that marks dependent inheritance links stale (O(1): the
+    write records its epoch, see {!Store.record_write}); rejects inherited
+    attributes.  Under [eager_checks], validates the entity and rolls the
+    write back on violation, unrecorded. *)
 
 val subclass_members : t -> Surrogate.t -> string -> (Surrogate.t list, Errors.t) result
 val subrel_members : t -> Surrogate.t -> string -> (Surrogate.t list, Errors.t) result

@@ -17,7 +17,6 @@ let h_depth = Obs.histogram ~buckets:Obs.size_buckets "inheritance.resolve.depth
 let h_fanout = Obs.histogram ~buckets:Obs.size_buckets "inheritance.resolve.fanout"
 (* bind latency lives in the "inheritance.bind" span histogram *)
 let m_unbind = Obs.counter "inheritance.unbind"
-let m_stale = Obs.counter "inheritance.stale.stamped"
 
 let binding_of store s = Result.map (fun e -> e.Store.bound) (Store.get store s)
 
@@ -169,26 +168,43 @@ let record_follow store s e b name =
    fires the read hook so the lock manager can S-lock the transmitter
    ("lock inheritance in the reverse direction of data inheritance").
    The hop count feeds the depth histogram: the paper's cost model for
-   view inheritance is exactly "reads pay per transmitter hop". *)
-let rec attr_at store s name depth =
+   view inheritance is exactly "reads pay per transmitter hop".  The
+   walk also answers its chain end — the entity whose own attribute was
+   read, or the unbound end that yielded [Null] — which the resolve cache
+   keys the value's validity on. *)
+let rec source_at store s name depth =
   let* e = Store.get store s in
   match Schema.find_effective_attr (Store.schema store) e.Store.type_name name with
   | None -> Error (Errors.Unknown_attribute (e.Store.type_name ^ "." ^ name))
   | Some (_, Schema.Own) ->
       Obs.observe h_depth (float_of_int depth);
       if Prov.enabled () then record_local s e;
-      Store.local_attr store s name
+      let* v = Store.local_attr store s name in
+      Ok (s, v)
   | Some (_, Schema.Via _) -> (
       match e.Store.bound with
       | None ->
           Obs.observe h_depth (float_of_int depth);
           if Prov.enabled () then record_unbound s e;
           Store.notify_read store s;
-          Ok Value.Null
+          Ok (s, Value.Null)
       | Some b ->
           if Prov.enabled () then record_follow store s e b name;
           Store.notify_read store s;
-          attr_at store b.b_transmitter name (depth + 1))
+          source_at store b.b_transmitter name (depth + 1))
+
+let attr_at store s name = Result.map snd (source_at store s name 0)
+
+(* Cache miss: capture the generation before the walk, so an
+   invalidation of the source (or a global one) that races it kills the
+   fill. *)
+let resolve_and_fill store cache s name =
+  let gen = Resolve_cache.generation cache in
+  match source_at store s name 0 with
+  | Ok (src, v) ->
+      Resolve_cache.fill cache ~gen ~src s name v;
+      Ok v
+  | Error _ as e -> e
 
 let cache_outcome_of_status = function
   | `Disabled -> Prov.Off
@@ -208,7 +224,7 @@ let attr_traced store s name =
   in
   match Store.resolve_cache_status store with
   | (`Disabled | `Hooked) as status ->
-      finish (cache_outcome_of_status status) (attr_at store s name 0)
+      finish (cache_outcome_of_status status) (attr_at store s name)
   | `Active -> (
       let cache = Store.resolve_cache store in
       match Resolve_cache.find cache s name with
@@ -217,33 +233,19 @@ let attr_traced store s name =
              explainable (the replayed hops are exactly what the cached
              value was resolved from — any mutation since would have
              invalidated the entry) *)
-          ignore (attr_at store s name 0 : (Value.t, Errors.t) result);
+          ignore (attr_at store s name : (Value.t, Errors.t) result);
           finish Prov.Hit (Ok v)
-      | None ->
-          let gen = Resolve_cache.generation cache in
-          let result = attr_at store s name 0 in
-          (match result with
-          | Ok v -> Resolve_cache.fill cache ~gen s name v
-          | Error _ -> ());
-          finish Prov.Miss result)
+      | None -> finish Prov.Miss (resolve_and_fill store cache s name))
 
 let attr store s name =
   Trace.with_span "inheritance.resolve" ~attrs:[ ("attr", name) ] (fun () ->
       if Prov.enabled () then attr_traced store s name
-      else if not (Store.resolve_cache_active store) then attr_at store s name 0
+      else if not (Store.resolve_cache_active store) then attr_at store s name
       else
         let cache = Store.resolve_cache store in
         match Resolve_cache.find cache s name with
         | Some v -> Ok v
-        | None ->
-            (* capture the generation before the walk: a concurrent
-               invalidation (scoped or global) then kills this fill *)
-            let gen = Resolve_cache.generation cache in
-            let result = attr_at store s name 0 in
-            (match result with
-            | Ok v -> Resolve_cache.fill cache ~gen s name v
-            | Error _ -> ());
-            result)
+        | None -> resolve_and_fill store cache s name)
 
 let explain store s name =
   let was_on = Prov.enabled () in
@@ -293,30 +295,32 @@ let subclass_members store s name =
       subclass_members_at store s name 0)
 
 (* ------------------------------------------------------------------ *)
-(* Staleness stamping (consistency control, sections 2 / 4.1)          *)
+(* Consistency control (sections 2 / 4.1)                              *)
 
-let stamp_link store link note =
-  match Store.get store link with
-  | Error _ -> ()
-  | Ok le ->
-      le.Store.attrs <-
-        Store.Smap.add "_stale" (Value.Bool true)
-          (Store.Smap.add "_note" (Value.Str note) le.Store.attrs)
+(* An autocommit write is committed at once: record it, and every link
+   it reaches derives its staleness from that record (see {!Store}). *)
+let set_attr store s name value =
+  let* () = Store.set_attr store s name value in
+  Store.record_write store s name;
+  Ok ()
 
-let stamp_stale store s ~attr ~note =
+(* The links a write of [attr] on [s] reaches, in propagation order: the
+   permeable inheritor closure.  Read-only; only trigger rules that react
+   to staleness need it. *)
+let reached_links store s ~attr =
   let schema = Store.schema store in
-  let rec go stamped visited s =
-    if Surrogate.Set.mem s visited then (stamped, visited)
+  let rec go acc visited s =
+    if Surrogate.Set.mem s visited then (acc, visited)
     else
       let visited = Surrogate.Set.add s visited in
       match Store.get store s with
-      | Error _ -> (stamped, visited)
+      | Error _ -> (acc, visited)
       | Ok e ->
           List.fold_left
-            (fun (stamped, visited) link ->
+            (fun (acc, visited) link ->
               match Store.get store link with
-              | Error _ -> (stamped, visited)
-              | Ok le ->
+              | Error _ -> (acc, visited)
+              | Ok le -> (
                   let permeable =
                     match
                       Schema.find_inher_rel_type schema le.Store.type_name
@@ -324,52 +328,14 @@ let stamp_stale store s ~attr ~note =
                     | Ok irel -> List.mem attr irel.it_inheriting
                     | Error _ -> false
                   in
-                  if not permeable then (stamped, visited)
-                  else begin
-                    stamp_link store link note;
+                  if not permeable then (acc, visited)
+                  else
                     match link_inheritor store link with
-                    | Some i -> go (link :: stamped) visited i
-                    | None -> (link :: stamped, visited)
-                  end)
-            (stamped, visited) e.Store.inheritor_links
+                    | Some i -> go (link :: acc) visited i
+                    | None -> (link :: acc, visited)))
+            (acc, visited) e.Store.inheritor_links
   in
-  let stamped = List.rev (fst (go [] Surrogate.Set.empty s)) in
-  Obs.add m_stale (List.length stamped);
-  stamped
-
-let set_attr store s name value =
-  let* () = Store.set_attr store s name value in
-  let note = Printf.sprintf "transmitter attribute %s updated" name in
-  let (_ : Surrogate.t list) = stamp_stale store s ~attr:name ~note in
-  Ok ()
-
-let link_flag store link name =
-  let* le = Store.get store link in
-  if le.Store.kind <> Store.Inheritance_link then
-    Error
-      (Errors.Invalid_binding
-         (Surrogate.to_string link ^ " is not an inheritance link"))
-  else Ok (Store.Smap.find_opt name le.Store.attrs)
-
-let is_stale store link =
-  let* v = link_flag store link "_stale" in
-  Ok (match v with Some (Value.Bool b) -> b | Some _ | None -> false)
-
-let stale_note store link =
-  let* v = link_flag store link "_note" in
-  Ok (match v with Some (Value.Str s) -> s | Some _ | None -> "")
-
-let acknowledge store link =
-  let* le = Store.get store link in
-  if le.Store.kind <> Store.Inheritance_link then
-    Error
-      (Errors.Invalid_binding
-         (Surrogate.to_string link ^ " is not an inheritance link"))
-  else begin
-    le.Store.attrs <-
-      Store.Smap.add "_stale" (Value.Bool false) le.Store.attrs;
-    Ok ()
-  end
+  List.rev (fst (go [] Surrogate.Set.empty s))
 
 (* ------------------------------------------------------------------ *)
 (* Copy-in baseline (section 2, strategy 1)                            *)

@@ -440,12 +440,12 @@ let fill_all store st reg spec marr ~jobs =
   let n = Array.length marr in
   let cells = Array.make n dummy_cell in
   let schema = Store.schema store in
-  let fill i = cells.(i) <- fill_cell store st reg schema spec marr.(i) in
-  if jobs > 1 && n >= 256 then Pool.iter_range ~jobs n fill
-  else
-    for i = 0 to n - 1 do
-      fill i
-    done;
+  let fill lo hi =
+    for i = lo to hi - 1 do
+      cells.(i) <- fill_cell store st reg schema spec marr.(i)
+    done
+  in
+  if jobs > 1 && n >= 256 then Pool.iter_range ~jobs n fill else fill 0 n;
   cells
 
 let count_true a = Array.fold_left (fun n b -> if b then n + 1 else n) 0 a
@@ -993,7 +993,7 @@ let try_scan store ~cls ~jobs expr =
             in
             let n = Array.length marr in
             (* the program marks passing rows of [first, last) in [mask];
-               the pool runs it one row at a time *)
+               the pool hands it one chunk of rows per call *)
             let mask = Bytes.make n '\001' in
             let mark =
               match program with
@@ -1011,8 +1011,7 @@ let try_scan store ~cls ~jobs expr =
                       | _ | (exception Row_error) -> Bytes.set mask i '\000'
                     done
             in
-            if jobs <= 1 then mark 0 n
-            else Pool.iter_range ~jobs n (fun i -> mark i (i + 1));
+            Pool.iter_range ~jobs n mark;
             let rows = ref [] in
             for i = n - 1 downto 0 do
               if Bytes.get mask i <> '\000' then rows := marr.(i) :: !rows

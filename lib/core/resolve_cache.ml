@@ -7,7 +7,8 @@ let m_hit = Obs.counter "inheritance.cache.hit"
 let m_miss = Obs.counter "inheritance.cache.miss"
 
 (* churn attribution: scoped bumps (attribute writes) are the cheap,
-   common case; global bumps (structural change) clear the whole table *)
+   common case — one floor per write; global bumps (structural change)
+   clear the whole table *)
 let m_invalidate_scoped = Obs.counter "inheritance.cache.invalidate.scoped"
 let m_invalidate_global = Obs.counter "inheritance.cache.invalidate.global"
 let g_size = Obs.gauge "inheritance.cache.size"
@@ -39,7 +40,11 @@ end
 
 module Ktbl = Hashtbl.Make (Key)
 
-type entry = { e_value : Value.t; e_gen : int }
+(* [e_src] is the chain end the value came from: the entity whose own
+   attribute was read, or the unbound end that yielded [Null].  The value
+   depends on nothing else but the structure, which only global bumps
+   change, so the entry lives exactly as long as its source's floor. *)
+type entry = { e_value : Value.t; e_gen : int; e_src : Surrogate.t }
 
 (* Domain safety: the generation and global floor are atomics — the
    pre-fix code read-modify-wrote plain ints, so concurrent
@@ -47,7 +52,7 @@ type entry = { e_value : Value.t; e_gen : int }
    floor it never saw (the "global-generation read/write race").  The
    entry table is sharded per domain: each domain fills and sweeps only
    its own hash table, so worker fills never contend and never corrupt
-   a shared table.  Scoped floors ([rc_floors]) are only written by
+   a shared table.  Source floors ([rc_floors]) are only written by
    store mutators, which the store serialises against parallel readers
    (its write latch), so a plain table read-only during parallel
    sections is sound.  [clear] walks every shard and is likewise only
@@ -57,7 +62,7 @@ type t = {
   rc_capacity : int;  (* per-shard entry bound *)
   rc_gen : int Atomic.t;  (* bumped by every invalidation *)
   rc_floor : int Atomic.t;  (* entries filled before this are dead *)
-  rc_floors : int Surrogate.Tbl.t;  (* per-surrogate floors (scoped bumps) *)
+  rc_floors : int Surrogate.Tbl.t;  (* per-source floors (scoped bumps) *)
   rc_shards : entry Ktbl.t option Atomic.t array;  (* per-domain tables *)
 }
 
@@ -128,7 +133,7 @@ let find t s name =
         None
     | Some tbl -> (
         match Ktbl.find_opt tbl (s, name) with
-        | Some e when e.e_gen >= floor_of t s ->
+        | Some e when e.e_gen >= floor_of t e.e_src ->
             Obs.incr m_hit;
             Some e.e_value
         | Some _ ->
@@ -142,8 +147,8 @@ let find t s name =
             None)
   end
 
-let fill t ~gen s name v =
-  if t.rc_enabled && gen >= floor_of t s then
+let fill t ~gen ~src s name v =
+  if t.rc_enabled && gen >= floor_of t src then
     match own_shard t with
     | None -> ()
     | Some tbl ->
@@ -152,20 +157,20 @@ let fill t ~gen s name v =
              never touched from here *)
           Ktbl.reset tbl;
         (* re-check: an invalidation may have raced the walk *)
-        if gen >= floor_of t s then begin
-          Ktbl.replace tbl (s, name) { e_value = v; e_gen = gen };
+        if gen >= floor_of t src then begin
+          Ktbl.replace tbl (s, name) { e_value = v; e_gen = gen; e_src = src };
           sync_gauge t
         end
 
 (* Invalidation is a no-op while disabled: nothing fills a disabled cache,
    and re-enabling starts from a cleared table (see {!set_enabled}). *)
-let invalidate_scoped t ss =
+let invalidate_scoped t s =
   if t.rc_enabled then
     Trace.with_span "inheritance.cache.invalidation"
       ~attrs:[ ("scope", "scoped") ]
     @@ fun () ->
     let gen = Atomic.fetch_and_add t.rc_gen 1 + 1 in
-    List.iter (fun s -> Surrogate.Tbl.replace t.rc_floors s gen) ss;
+    Surrogate.Tbl.replace t.rc_floors s gen;
     Obs.incr m_invalidate_scoped
 
 let invalidate_global t =

@@ -10,9 +10,17 @@
     Invalidation scheme (the generations):
     - every mutation of data a resolution may have read bumps a
       monotonically increasing generation counter;
-    - a {e scoped} bump (transmitter attribute write) raises the floor of
-      the writer and its inheritor closure only — unrelated chains keep
-      their entries;
+    - every entry records its {e source}: the chain end its value came
+      from (the entity whose own attribute was read, or the unbound end
+      that yielded [Null]), and is valid while its generation is at or
+      above both the global floor and its source's floor;
+    - a {e scoped} bump (attribute write) raises the floor of the written
+      entity only — O(1), whatever the size of its inheritor closure.
+      Every entry resolved through the written attribute names the writer
+      as its source and dies; every other entry survives.  This is exact
+      because a resolved value depends only on the binding structure and
+      on its source's local value: inherited attributes cannot be written
+      ([Inherited_readonly]), and every structural change bumps globally;
     - a {e global} bump (bind, unbind, delete, participant rewiring,
       schema evolution, transaction abort) clears the table outright;
     - a fill records the generation captured {e before} the chain walk
@@ -29,7 +37,7 @@
     entry table is sharded per domain (each domain fills, hits and
     sweeps only its own shard), so parallel query workers resolve
     concurrently without locks and a worker's fill can never publish a
-    stale value another domain's invalidation already killed.  Scoped
+    stale value another domain's invalidation already killed.  Source
     floors and {!clear} are write-side operations: the store serialises
     them against parallel readers with its write latch.
 
@@ -67,15 +75,18 @@ val generation : t -> int
 
 val find : t -> Surrogate.t -> string -> Value.t option
 (** Valid cached resolution of [(surrogate, attribute)], or [None].
-    Counts a hit or a miss; lazily drops entries below their floor. *)
+    Counts a hit or a miss; lazily drops entries below their source's
+    floor or the global floor. *)
 
-val fill : t -> gen:int -> Surrogate.t -> string -> Value.t -> unit
-(** Memoise a resolution computed at generation [gen].  A no-op when the
-    cache is disabled or [gen] is below any applicable floor. *)
+val fill : t -> gen:int -> src:Surrogate.t -> Surrogate.t -> string -> Value.t -> unit
+(** Memoise a resolution of [(surrogate, attribute)] computed at
+    generation [gen] whose value came from the chain end [src].  A no-op
+    when the cache is disabled or [gen] is below [src]'s floor or the
+    global floor. *)
 
-val invalidate_scoped : t -> Surrogate.t list -> unit
-(** Raise the floor of exactly the given surrogates (a writer plus its
-    inheritor closure): their entries die, everything else survives. *)
+val invalidate_scoped : t -> Surrogate.t -> unit
+(** Raise the floor of exactly the given surrogate (a written entity):
+    every entry whose value it sourced dies, everything else survives. *)
 
 val invalidate_global : t -> unit
 (** Structural change: drop every entry and bump the generation so
@@ -100,7 +111,7 @@ val hits : unit -> int
 val misses : unit -> int
 
 val invalidations_scoped : unit -> int
-(** Floor raises limited to a writer and its inheritor closure. *)
+(** Floor raises of a single written entity (one per attribute write). *)
 
 val invalidations_global : unit -> int
 (** Whole-table clears from structural change. *)

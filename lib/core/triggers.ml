@@ -134,9 +134,14 @@ let rec dispatch t events =
 
 and set_attr t s name value =
   let store = Database.store t.trg_db in
-  let* () = Store.set_attr store s name value in
-  let note = Printf.sprintf "transmitter attribute %s updated" name in
-  let stamped = Inheritance.stamp_stale store s ~attr:name ~note in
+  let* () = Inheritance.set_attr store s name value in
+  (* the write itself is O(1); the links it reached are only enumerated
+     while some rule listens for staleness *)
+  let reached =
+    if List.exists (fun r -> match r.r_pattern with On_stale _ -> true | _ -> false) t.trg_rules
+    then Inheritance.reached_links store s ~attr:name
+    else []
+  in
   let stale_events =
     List.filter_map
       (fun link ->
@@ -150,7 +155,7 @@ and set_attr t s name value =
             | Some (Value.Ref i), Some (Value.Ref tr) ->
                 Some (Stamped { link; inheritor = i; transmitter = tr; attr = name })
             | _ -> None))
-      stamped
+      reached
   in
   dispatch t (Updated { target = s; attr = name } :: stale_events)
 
@@ -179,11 +184,5 @@ let acknowledge_link db event =
 
 let log_note ~note db event =
   match event with
-  | Stamped { link; _ } -> (
-      let store = Database.store db in
-      match Store.get store link with
-      | Error _ as e -> Result.map ignore e
-      | Ok le ->
-          le.Store.attrs <- Store.Smap.add "_note" (Value.Str note) le.Store.attrs;
-          Ok ())
+  | Stamped { link; _ } -> Store.set_stale_note (Database.store db) link note
   | Updated _ | Bound _ | Unbound _ -> Ok ()

@@ -65,8 +65,10 @@ val clear_fired : t -> unit
 (** {1 Instrumented operations} *)
 
 val set_attr : t -> Surrogate.t -> string -> Value.t -> (unit, Errors.t) result
-(** Writes the attribute, stamps dependent links, then fires [On_update]
-    for the target and [On_stale] per stamped link.  Rule-driven writes
+(** Writes and commits the attribute (dependent links read stale, see
+    {!Inheritance.set_attr}), then fires [On_update] for the target and
+    [On_stale] per link the write reached.  Those links are enumerated
+    only while an [On_stale] rule is registered.  Rule-driven writes
     are validated against domains but not against the database's eager
     constraint checks; run {!Database.validate} in a rule action when a
     cascade must stay constraint-clean. *)
@@ -90,5 +92,6 @@ val acknowledge_link : action
     repair the inheritor, completing the adaptation automatically. *)
 
 val log_note : note:string -> action
-(** Overwrite the link's [_note] with a rule-specific message (e.g. which
-    adaptation procedure should be run manually). *)
+(** Replace the link's stale note with a rule-specific message (e.g.
+    which adaptation procedure should be run manually), until a newer
+    transmitter write reaches the link ({!Store.set_stale_note}). *)

@@ -214,31 +214,21 @@ let filter_list ~jobs pred xs =
   end
 
 (* side-effecting fan-out over [0, n): same chunk arithmetic as the
-   filters; used by the plan layer to fill materialized-column cells and
-   to mark the rows of a compiled scan in parallel (each index owns a
+   filters, one call of [f lo hi] per chunk so the caller loops inside
+   it; used by the plan layer to fill materialized-column cells and to
+   mark the rows of a compiled scan in parallel (each index owns a
    distinct result slot, so no merge) *)
 let iter_range ~jobs n f =
-  if jobs <= 1 || n < 2 * min_chunk then
-    for i = 0 to n - 1 do
-      f i
-    done
+  if jobs <= 1 || n < 2 * min_chunk then f 0 n
   else begin
     let nchunks =
       max 1 (min (jobs * chunks_per_job) ((n + min_chunk - 1) / min_chunk))
     in
-    if nchunks <= 1 then
-      for i = 0 to n - 1 do
-        f i
-      done
+    if nchunks <= 1 then f 0 n
     else begin
       let base = n / nchunks and extra = n mod nchunks in
       let start k = (k * base) + min k extra in
-      let tasks =
-        Array.init nchunks (fun k () ->
-            for i = start k to start (k + 1) - 1 do
-              f i
-            done)
-      in
+      let tasks = Array.init nchunks (fun k () -> f (start k) (start (k + 1))) in
       run ~jobs tasks
     end
   end

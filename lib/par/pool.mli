@@ -64,14 +64,16 @@ val filter_list : jobs:int -> ('a -> bool) -> 'a list -> 'a list
     inputs (under one chunk of ~16) and [jobs <= 1] run sequentially
     on the caller. *)
 
-val iter_range : jobs:int -> int -> (int -> unit) -> unit
-(** [iter_range ~jobs n f] runs [f i] for every [i] in [[0, n)], fanned
-    out over the pool in the filters' chunk shape.  [f] must be
-    domain-safe and each index must own its writes (distinct result
-    slots); there is no merge step and no ordering guarantee between
-    chunks.  Small ranges and [jobs <= 1] run sequentially on the
-    caller.  The plan layer fills materialized-column cells and runs
-    parallel compiled scans through this. *)
+val iter_range : jobs:int -> int -> (int -> int -> unit) -> unit
+(** [iter_range ~jobs n f] covers [[0, n)] with disjoint ranges in the
+    filters' chunk shape and runs [f lo hi] once per range [[lo, hi)],
+    fanned out over the pool: the caller loops inside [f], so a chunk
+    costs one call, not one per index.  [f] must be domain-safe and each
+    index must own its writes (distinct result slots); there is no merge
+    step and no ordering guarantee between chunks.  Small ranges and
+    [jobs <= 1] run as one [f 0 n] on the caller.  The plan layer fills
+    materialized-column cells and runs parallel compiled scans through
+    this. *)
 
 val shutdown : unit -> unit
 (** Stop and join every pool worker.  Registered [at_exit]; safe to

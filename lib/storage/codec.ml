@@ -626,6 +626,44 @@ let decode_entity d =
       classes_of;
     }
 
+(* A link's staleness is derived state in memory (see {!Store.is_stale});
+   on disk a snapshot stores it materialized, in the form snapshots have
+   always used: reserved link attributes [_stale] (when stale) and [_note]
+   (when a note exists).  Decoding strips them back out into a pinned
+   stamp, so snapshots cut before staleness was derived load unchanged. *)
+let stale_attr = "_stale"
+let note_attr = "_note"
+
+let with_staleness store (e : Store.entity) =
+  match e.Store.kind with
+  | Store.Object_entity | Store.Relationship_entity -> e
+  | Store.Inheritance_link ->
+      let stale = Result.value ~default:false (Store.is_stale store e.Store.id) in
+      let note = Result.value ~default:"" (Store.stale_note store e.Store.id) in
+      let attrs = e.Store.attrs in
+      let attrs =
+        if stale then Store.Smap.add stale_attr (Value.Bool true) attrs else attrs
+      in
+      let attrs =
+        if note <> "" then Store.Smap.add note_attr (Value.Str note) attrs else attrs
+      in
+      { e with Store.attrs }
+
+let take_staleness (e : Store.entity) =
+  let attrs = e.Store.attrs in
+  let stale =
+    match Store.Smap.find_opt stale_attr attrs with
+    | Some (Value.Bool b) -> b
+    | Some _ | None -> false
+  in
+  let note =
+    match Store.Smap.find_opt note_attr attrs with
+    | Some (Value.Str n) -> n
+    | Some _ | None -> ""
+  in
+  e.Store.attrs <- Store.Smap.remove stale_attr (Store.Smap.remove note_attr attrs);
+  (stale, note)
+
 let encode_store store =
   let b = Enc.create () in
   let entities =
@@ -633,7 +671,7 @@ let encode_store store =
       (fun (a : Store.entity) b -> Surrogate.compare a.Store.id b.Store.id)
       (Store.fold store (fun acc e -> e :: acc) [])
   in
-  Enc.list b (encode_entity b) entities;
+  Enc.list b (fun e -> encode_entity b (with_staleness store e)) entities;
   Enc.list b
     (fun name ->
       Enc.string b name;
@@ -649,7 +687,15 @@ let decode_store schema blob =
   let d = Dec.of_string blob in
   let store = Store.create schema in
   let* entities = Dec.list d (fun () -> decode_entity d) in
-  List.iter (Store.restore_entity store) entities;
+  List.iter
+    (fun (e : Store.entity) ->
+      match e.Store.kind with
+      | Store.Object_entity | Store.Relationship_entity -> Store.restore_entity store e
+      | Store.Inheritance_link ->
+          let stale, note = take_staleness e in
+          Store.restore_entity store e;
+          Store.restore_staleness store e.Store.id ~stale ~note)
+    entities;
   let* () =
     let* classes =
       Dec.list d (fun () ->

@@ -60,4 +60,6 @@ val decode_schema : string -> (Schema.t, Errors.t) result
 val encode_store : Store.t -> string
 val decode_store : Schema.t -> string -> (Store.t, Errors.t) result
 (** Round-trips all entities (attributes, participants, containment,
-    bindings), classes, and the surrogate generator position. *)
+    bindings), classes, and the surrogate generator position.  Link
+    staleness and notes are stored materialized and load back as pinned
+    stamps ({!Store.restore_staleness}). *)

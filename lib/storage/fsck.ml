@@ -99,6 +99,18 @@ let diff ~oracle db =
                  (List.sort String.compare oe.Store.classes_of)
                  (List.sort String.compare de.Store.classes_of))
           then say "%s: class memberships diverge from oracle" id;
+          (* consistency control: staleness is derived, not stored in the
+             link, so compare it as the application reads it *)
+          (if oe.Store.kind = Store.Inheritance_link then
+             let pair f = (f oracle oe.Store.id, f db oe.Store.id) in
+             (match pair Database.is_stale with
+             | Ok o, Ok d when o <> d ->
+                 say "%s: stale %b, oracle %b" id d o
+             | _ -> ());
+             match pair Database.stale_note with
+             | Ok o, Ok d when not (String.equal o d) ->
+                 say "%s: stale note %S, oracle %S" id d o
+             | _ -> ());
           (* resolved values: what a read actually answers, chasing the
              binding chain through the schema's permeability rules *)
           match Schema.effective_attrs (Database.schema oracle) oe.Store.type_name with

@@ -9,8 +9,9 @@
       entity's type, and index/extent agreement.
     - {!diff} compares a recovered database against an in-memory oracle
       semantically: entity sets, local state, ownership, bindings, class
-      extents, generator position, and — down inheritance chains — the
-      {e resolved} value of every effective attribute.
+      extents, generator position, each inheritance link's staleness and
+      stale note, and — down inheritance chains — the {e resolved} value
+      of every effective attribute.
     - {!check_dir} recovers a journal directory and runs {!check_db} on
       the result, reporting recovery facts alongside the violations.
       This is [compo fsck]. *)

@@ -263,6 +263,11 @@ let delete t ?(force = false) s =
   log t (Wal.Delete { target = s; force });
   Ok ()
 
+let acknowledge t link =
+  let* () = Database.acknowledge t.jdb link in
+  log t (Wal.Acknowledge { link });
+  Ok ()
+
 (* The snapshot is cut at [epoch + 1] and committed by its rename; the
    truncation that follows merely reclaims space.  A crash anywhere in
    between leaves either the old pairing (old snapshot + full old-epoch

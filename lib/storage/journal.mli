@@ -91,6 +91,10 @@ val bind :
 val unbind : t -> Surrogate.t -> (unit, Errors.t) result
 val delete : t -> ?force:bool -> Surrogate.t -> (unit, Errors.t) result
 
+val acknowledge : t -> Surrogate.t -> (unit, Errors.t) result
+(** Clear an inheritance link's staleness, durably: recovery replays the
+    acknowledge after the writes it answered, so the link stays fresh. *)
+
 (** {1 Maintenance} *)
 
 val checkpoint : t -> (unit, Errors.t) result

@@ -56,6 +56,7 @@ type record =
     }
   | Unbind of { inheritor : Surrogate.t }
   | Delete of { target : Surrogate.t; force : bool }
+  | Acknowledge of { link : Surrogate.t }
 
 module Enc = Codec.Enc
 module Dec = Codec.Dec
@@ -135,7 +136,10 @@ let encode_record r =
   | Delete { target; force } ->
       Enc.byte b 10;
       enc_sur b target;
-      Enc.bool b force);
+      Enc.bool b force
+  | Acknowledge { link } ->
+      Enc.byte b 11;
+      enc_sur b link);
   Enc.contents b
 
 let decode_record payload =
@@ -196,6 +200,9 @@ let decode_record payload =
       let* target = dec_sur d in
       let* force = Dec.bool d in
       Ok (Delete { target; force })
+  | 11 ->
+      let* link = dec_sur d in
+      Ok (Acknowledge { link })
   | t -> Error (Errors.Io_error (Printf.sprintf "bad WAL record tag %d" t))
 
 (* file: [magic: 8 bytes][epoch: 8 bytes LE] then frames.  The epoch pairs
@@ -320,3 +327,4 @@ let apply db r =
       check_expected "bind" expect link
   | Unbind { inheritor } -> Database.unbind db inheritor
   | Delete { target; force } -> Database.delete db ~force target
+  | Acknowledge { link } -> Database.acknowledge db link

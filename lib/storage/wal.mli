@@ -57,6 +57,9 @@ type record =
     }
   | Unbind of { inheritor : Surrogate.t }
   | Delete of { target : Surrogate.t; force : bool }
+  | Acknowledge of { link : Surrogate.t }
+      (** consistency control: the link's adaptation is done, so replay
+          must not resurrect its staleness *)
 
 val encode_record : record -> string
 val decode_record : string -> (record, Errors.t) result

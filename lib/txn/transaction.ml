@@ -35,10 +35,10 @@ type t = {
   txn_user : string;
   mutable txn_status : status;
   mutable txn_undo : (unit -> unit) list;
-  mutable txn_stamps : (Surrogate.t * string) list;
-      (* staleness stamping of dependent inheritance links is deferred to
-         commit: an aborted update never happened, so it must not flag
-         inheritors for adaptation *)
+  mutable txn_written : (Surrogate.t * string) list;
+      (* newest first; recorded for consistency control only at commit:
+         an aborted update never happened, so it must not flag inheritors
+         for adaptation *)
 }
 
 let begin_txn mg ~user =
@@ -46,7 +46,7 @@ let begin_txn mg ~user =
   mg.mg_next <- id + 1;
   Obs.incr m_begin;
   Log.info (fun m -> m "begin transaction %d (user %s)" id user);
-  { txn_id = id; txn_user = user; txn_status = Active; txn_undo = []; txn_stamps = [] }
+  { txn_id = id; txn_user = user; txn_status = Active; txn_undo = []; txn_written = [] }
 
 let id txn = txn.txn_id
 let user txn = txn.txn_user
@@ -64,16 +64,12 @@ let commit mg txn =
   let* () = check_active txn in
   Obs.incr m_commit;
   Log.info (fun m -> m "commit transaction %d" txn.txn_id);
-  (* the updates are now permanent: stamp dependent inheritance links *)
+  (* the updates are now permanent: record each, in write order, so
+     dependent inheritance links read stale (O(1) per write) *)
   List.iter
-    (fun (s, attr) ->
-      let note = Printf.sprintf "transmitter attribute %s updated" attr in
-      let (_ : Surrogate.t list) =
-        Inheritance.stamp_stale mg.mg_store s ~attr ~note
-      in
-      ())
-    (List.rev txn.txn_stamps);
-  txn.txn_stamps <- [];
+    (fun (s, attr) -> Store.record_write mg.mg_store s attr)
+    (List.rev txn.txn_written);
+  txn.txn_written <- [];
   Lock_manager.release_all mg.mg_locks ~txn:txn.txn_id;
   txn.txn_status <- Committed;
   Ok ()
@@ -89,7 +85,7 @@ let abort mg txn =
      record and drops exactly the resolve-cache entries it stales *)
   List.iter (fun undo -> undo ()) txn.txn_undo;
   txn.txn_undo <- [];
-  txn.txn_stamps <- [];
+  txn.txn_written <- [];
   Lock_manager.release_all mg.mg_locks ~txn:txn.txn_id;
   txn.txn_status <- Aborted;
   Ok ()
@@ -197,7 +193,7 @@ let set_attr mg txn s name value =
   let* () =
     with_lock_hooks mg txn (fun () -> Store.set_attr mg.mg_store s name value)
   in
-  txn.txn_stamps <- (s, name) :: txn.txn_stamps;
+  txn.txn_written <- (s, name) :: txn.txn_written;
   push_undo txn (fun () -> ignore (Store.set_attr mg.mg_store s name old));
   Ok ()
 

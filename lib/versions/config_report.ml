@@ -35,7 +35,7 @@ let stable_descendants g id =
 
 let entry_of_use reg store ~owner use (b : Store.binding) =
   let stale =
-    match Inheritance.is_stale store b.Store.b_link with
+    match Store.is_stale store b.Store.b_link with
     | Ok s -> s
     | Error _ -> false
   in

@@ -158,13 +158,17 @@ let test_staleness_transitive () =
   let nodes = ok (Compo_scenarios.Workload.chain_instance db ~depth:3 ~payload:1) in
   let root = List.hd nodes in
   let store = Database.store db in
-  let stamped = Inheritance.stamp_stale store root ~attr:"Payload" ~note:"test" in
-  check_int "all three links stamped" 3 (List.length stamped);
+  let reached = Inheritance.reached_links store root ~attr:"Payload" in
+  check_int "the write reaches all three links" 3 (List.length reached);
   List.iter
-    (fun link -> check_bool "stamped link reports stale" true (ok (Inheritance.is_stale store link)))
-    stamped;
-  let stamped2 = Inheritance.stamp_stale store root ~attr:"Nonexistent" ~note:"test" in
-  check_int "non-permeable attr stamps nothing" 0 (List.length stamped2)
+    (fun link -> check_bool "fresh before the write" false (ok (Store.is_stale store link)))
+    reached;
+  ok (Inheritance.set_attr store root "Payload" (Value.Int 2));
+  List.iter
+    (fun link -> check_bool "reached link reports stale" true (ok (Store.is_stale store link)))
+    reached;
+  check_int "non-permeable attr reaches nothing" 0
+    (List.length (Inheritance.reached_links store root ~attr:"Nonexistent"))
 
 let test_unbind_loses_values () =
   let db = gates_db () in

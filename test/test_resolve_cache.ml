@@ -64,9 +64,9 @@ let test_scoped_invalidation_is_selective () =
   check_int "unrelated entry survived the scoped bump" 1
     (Resolve_cache.hits () - h0);
   let m0 = Resolve_cache.misses () in
-  check_value "the written closure re-resolves to the new value" (Value.Int 9)
+  check_value "the entry sourced by the write re-resolves to the new value" (Value.Int 9)
     (ok (Database.get_attr db impl1 "Length"));
-  check_int "written closure was invalidated" 1 (Resolve_cache.misses () - m0)
+  check_int "entry sourced by the write was invalidated" 1 (Resolve_cache.misses () - m0)
 
 let test_unbind_reads_null () =
   let db = gates_db () in
@@ -118,7 +118,7 @@ let test_abort_never_serves_aborted_values () =
     (Value.Int 4)
     (ok (Database.get_attr db impl "Length"));
   (* two hops down: the undo is an ordinary attribute write, and its
-     scoped invalidation reaches the whole inheritor closure -- no global
+     scoped invalidation kills every entry the root sourced -- no global
      bump is needed to take the memoised in-flight value back *)
   with_metrics @@ fun () ->
   let db = Database.create () in
@@ -207,18 +207,45 @@ let test_stale_fill_dies () =
   (* a fill whose generation predates an invalidation must be refused *)
   let gen = Resolve_cache.generation c in
   Resolve_cache.invalidate_global c;
-  Resolve_cache.fill c ~gen s "A" (Value.Int 1);
+  Resolve_cache.fill c ~gen ~src:s s "A" (Value.Int 1);
   check_bool "stale fill was dropped" true (Resolve_cache.find c s "A" = None);
   let gen = Resolve_cache.generation c in
-  Resolve_cache.fill c ~gen s "A" (Value.Int 2);
+  Resolve_cache.fill c ~gen ~src:s s "A" (Value.Int 2);
   check_value "current fill lands" (Value.Int 2)
     (Option.get (Resolve_cache.find c s "A"))
+
+(* Entries are keyed by the value's source, the chain end it was read
+   from: a write raises that one floor, and it must kill every reader's
+   entry resolved from it while a write to a reader leaves them alone. *)
+let test_source_floor_is_exact () =
+  let c = Resolve_cache.create () in
+  let src = Surrogate.of_int 1 and reader = Surrogate.of_int 2 in
+  let gen = Resolve_cache.generation c in
+  Resolve_cache.fill c ~gen ~src reader "A" (Value.Int 1);
+  Resolve_cache.fill c ~gen ~src src "A" (Value.Int 1);
+  Resolve_cache.invalidate_scoped c reader;
+  check_value "a write to the reader keeps the entry it did not source" (Value.Int 1)
+    (Option.get (Resolve_cache.find c reader "A"));
+  Resolve_cache.invalidate_scoped c src;
+  check_bool "a write to the source kills the reader's entry" true
+    (Resolve_cache.find c reader "A" = None);
+  check_bool "and the source's own" true (Resolve_cache.find c src "A" = None);
+  (* end to end: the leaf's value comes from the root four hops up *)
+  let db = Database.create () in
+  ok (W.chain_schema db ~depth:4);
+  let nodes = ok (W.chain_instance db ~depth:4 ~payload:7) in
+  let root = List.hd nodes and leaf = List.nth nodes 4 in
+  check_value "warm" (Value.Int 7) (ok (Database.get_attr db leaf "Payload"));
+  ok (Database.set_attr db root "Payload" (Value.Int 8));
+  check_value "the leaf re-resolves after its source is written" (Value.Int 8)
+    (ok (Database.get_attr db leaf "Payload"))
 
 let test_capacity_bounds_table () =
   let c = Resolve_cache.create ~capacity:4 () in
   let gen = Resolve_cache.generation c in
   for i = 1 to 10 do
-    Resolve_cache.fill c ~gen (Surrogate.of_int i) "A" (Value.Int i)
+    let s = Surrogate.of_int i in
+    Resolve_cache.fill c ~gen ~src:s s "A" (Value.Int i)
   done;
   check_bool "table stays within capacity" true (Resolve_cache.size c <= 4)
 
@@ -286,4 +313,5 @@ let suite =
       case "per-store escape hatch disables memoisation" test_escape_hatch_disables;
       case "4 domains resolve concurrently, accounting stays exact"
         test_parallel_resolution;
+      case "a write kills exactly the entries it sourced" test_source_floor_is_exact;
     ] )

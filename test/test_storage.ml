@@ -147,6 +147,7 @@ let test_wal_record_roundtrip () =
           inheritor = Surrogate.of_int 2; expect = Surrogate.of_int 3 };
       Wal.Unbind { inheritor = Surrogate.of_int 2 };
       Wal.Delete { target = Surrogate.of_int 7; force = true };
+      Wal.Acknowledge { link = Surrogate.of_int 3 };
     ]
   in
   List.iter

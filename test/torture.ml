@@ -68,6 +68,7 @@ type exec = {
     string -> Surrogate.t -> Surrogate.t -> (Surrogate.t, Errors.t) result;
   x_unbind : Surrogate.t -> (unit, Errors.t) result;
   x_delete : Surrogate.t -> (unit, Errors.t) result;
+  x_acknowledge : Surrogate.t -> (unit, Errors.t) result;
   x_checkpoint : unit -> (unit, Errors.t) result;
 }
 
@@ -86,6 +87,7 @@ let journal_exec ?(skip_checkpoints = false) j =
         Journal.bind j ~via ~transmitter ~inheritor ());
     x_unbind = Journal.unbind j;
     x_delete = (fun s -> Journal.delete j s);
+    x_acknowledge = Journal.acknowledge j;
     x_checkpoint =
       (fun () -> if skip_checkpoints then Ok () else Journal.checkpoint j);
   }
@@ -105,6 +107,7 @@ let oracle_exec db =
         Database.bind db ~via ~transmitter ~inheritor ());
     x_unbind = Database.unbind db;
     x_delete = (fun s -> Database.delete db s);
+    x_acknowledge = Database.acknowledge db;
     x_checkpoint = (fun () -> Ok ());
   }
 
@@ -136,8 +139,9 @@ let obj_type ?(subclasses = []) ?inheritor_in name attrs =
    exactly "logged the first K records" (checkpoints log nothing and
    change no semantics).  The mix covers every logged operation kind:
    schema definition, classes, objects, subobjects, value-inheritance
-   bind/unbind, attribute updates down inheritance chains, deletion, and
-   two checkpoints. *)
+   bind/unbind, attribute updates down inheritance chains (which mark
+   links stale), deletion, acknowledging a stale link, and two
+   checkpoints. *)
 let workload =
   [
     step "define Bore"
@@ -220,6 +224,10 @@ let workload =
     step "update p3.Weight"
       (unit_op (fun x env ->
            x.x_set_attr (need env "p3") "Weight" (Value.Int 4)));
+    step "acknowledge l3"
+      (unit_op (fun x env -> x.x_acknowledge (need env "l3")));
+    step "update w3.Tag"
+      (unit_op (fun x env -> x.x_set_attr (need env "w3") "Tag" (Value.Int 30)));
   ]
 
 let n_steps = List.length workload
@@ -302,6 +310,10 @@ let scenarios =
       Failpoint.Crash ~after:7 ~clean:true ~stale:false;
     scenario "append crash on last record" "wal.append.after_frame"
       Failpoint.Crash ~after:19 ~clean:true ~stale:false;
+    (* l3 was stale and acknowledged before the crash: replay must keep
+       it acknowledged (Fsck.diff compares link staleness) *)
+    scenario "append crash after an acknowledge" "wal.append.before_frame"
+      Failpoint.Crash ~after:23 ~clean:true ~stale:false;
     (* --- crashes across the checkpoint protocol --- *)
     scenario "checkpoint refused" "journal.checkpoint.begin"
       Failpoint.Error_result ~clean:true ~stale:false;
