@@ -51,15 +51,15 @@ obs-check: build
 torture-check: build
 	dune exec test/torture.exe -- --log torture-check.log
 
-# Parallel-select stress: 4 reader domains of parallel selects racing
-# interleaved committed/aborted write batches on the main domain, with a
-# torn-read oracle (any inconsistent snapshot surfaces as a row where
-# A <> B), exact resolve-cache accounting (lookups = hits + misses), and
-# a check that the readers really caught plan state up by delta
-# concurrently.  A race there shows in some 2 s runs and not others, so
-# the driver runs three times.  The differential oracle itself (select
-# ~jobs:1 == ~jobs:4 over 200+ random schemas) runs inside `make test`
-# as the par-diff suite.
+# Reader/writer stress: 4 reader domains of selects racing interleaved
+# committed/aborted write batches on the main domain, with a torn-read
+# oracle (any inconsistent snapshot surfaces as a row where A <> B),
+# exact resolve-cache accounting (lookups = hits + misses), and a check
+# that the readers really caught plan state up by delta concurrently.
+# A race there shows in some 2 s runs and not others, so the driver
+# runs three times.  The differential oracle itself (interpreted ==
+# compiled over 200+ random schemas) runs inside `make test` as the
+# par-diff suite.
 stress-check: build
 	for i in 1 2 3; do dune exec test/test_par_stress.exe || exit 1; done
 
@@ -92,30 +92,27 @@ bench: build
 # CI-sized benchmark: E1, the lock-path experiments E6 (lock
 # inheritance) and E12 (deadlock detection), the resolve-cache sweep E15, the
 # provenance-overhead sweep E16, the recovery-time sweep E17, the
-# parallel-scaling sweep E18, the compiled-plan sweep E21 and the
-# delta-maintenance sweep E22 on small grids.  Fails if the cached
-# read path is slower than the uncached one, if 4-job selects scale
-# below 1.8x on a >= 4-core machine (the gate skips, loudly, on
-# smaller runners), if the compiled engine is less than 3x the
-# interpreted one single-threaded (skips on 1-core runners), if
+# compiled-plan sweep E21 and the delta-maintenance sweep E22 on small
+# grids.  Fails if the cached read path is slower than the uncached
+# one, if the compiled engine is less than 3x the interpreted one
+# (skips on 1-core runners), if
 # delta-maintained plan state is less than 2x full rebuild on the 20%
 # write mix (same 1-core skip), or if any experiment does not produce
 # its JSON report.  Smoke reports go to _build/bench-smoke/, so the
 # committed full-grid BENCH_*.json in the repo root stay untouched.
-SMOKE_REPORTS = resolve_cache provenance recovery resolve_parallel compiled plan_delta
+SMOKE_REPORTS = resolve_cache provenance recovery compiled plan_delta
 
 bench-smoke: build
-	dune exec bench/main.exe -- --smoke --check-speedup 1.0 --check-scaling 1.8 --check-compiled-speedup 3 --check-delta-speedup 2 E1 E6 E12 E15 E16 E17 E18 E21 E22
+	dune exec bench/main.exe -- --smoke --check-speedup 1.0 --check-compiled-speedup 3 --check-delta-speedup 2 E1 E6 E12 E15 E16 E17 E21 E22
 	for r in $(SMOKE_REPORTS); do test -s _build/bench-smoke/BENCH_$$r.json || exit 1; done
 
 # Ablation matrix (E20): enumerate configuration cells (resolve cache
-# on/off, index planning on/off, compiled engine on/off, provenance
-# on/off, jobs 1/2/4, failpoints armed) and run the curated
-# E2/E9/E10/E15 suite in a fresh
-# bench subprocess per cell.  Cells the runner cannot honestly measure
-# (jobs > cores) are recorded as SKIPPED rows with the reason — never
-# dropped.  `matrix` writes a fresh BENCH_matrix.fresh.json; `matrix-
-# baseline` refreshes the committed BENCH_matrix.json.
+# on/off, index planning on/off, compiled engine on/off, delta
+# maintenance on/off, provenance on/off, failpoints armed) and run the
+# curated E2/E9/E10/E15 suite in a fresh bench subprocess per cell.
+# Every outcome, failures included, is a row of the report.  `matrix`
+# writes a fresh BENCH_matrix.fresh.json; `matrix-baseline` refreshes
+# the committed BENCH_matrix.json.
 matrix: build
 	dune exec bench/matrix_main.exe -- --smoke --out BENCH_matrix.fresh.json
 
@@ -127,7 +124,8 @@ matrix-baseline: build
 # wall-time gates are deliberately loose (5x over a 1 s floor) because
 # the baseline and the runner are different machines — the machine-
 # independent signals (eval.node, e15.min_speedup) carry the behavioural
-# diff.  New SKIPs render loudly but do not fail small runners.
+# diff.  SKIPPED rows (older matrices recorded cells a runner had too
+# few cores for) render loudly but do not fail.
 matrix-check: matrix
 	dune exec bin/compo_cli.exe -- benchdiff BENCH_matrix.json BENCH_matrix.fresh.json --time-ratio 5 --time-floor 1
 
@@ -176,11 +174,9 @@ soak-check: build
 # locally with one command.
 ci: build test perfbench-check fmt-check obs-check torture-check stress-check bench-smoke matrix-check soak-check
 
+# Generated files only: the committed BENCH_*.json results stay.
 clean:
 	dune clean
-	rm -f BENCH_resolve_cache.json BENCH_provenance.json BENCH_recovery.json
-	rm -f BENCH_resolve_parallel.json BENCH_server.json
-	rm -f BENCH_compiled.json BENCH_plan_delta.json
 	rm -f BENCH_*.metrics.json obs-check.om obs-check.live.om torture-check.log
 	rm -f BENCH_matrix.fresh.json
 	rm -f soak-flightrec.json soak-flightrec.txt soak-slowlog.txt *.flightrec.json

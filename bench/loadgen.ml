@@ -11,7 +11,7 @@
 
    Each connection is one session on one thread running a CAD-ish mix:
    mostly inherited-attribute reads (Length resolves through the
-   implementation's interface binding), an occasional parallel select
+   implementation's interface binding), an occasional select
    over the Implementations extent, and an occasional
    begin/set/commit transaction on a thread-distinct target.  Per-request
    wall times go into a private obs histogram per point; the JSON report
@@ -204,7 +204,7 @@ let write_json ~path ~socket ~self_hosted ~duration ~pipeline ~populate
   Printf.bprintf buf "  \"duration_s\": %.2f,\n" duration;
   Printf.bprintf buf "  \"pipeline\": %d,\n" pipeline;
   Printf.bprintf buf "  \"population\": %d,\n" populate;
-  Printf.bprintf buf "  \"cores\": %d,\n" (Compo_par.Pool.available_cores ());
+  Printf.bprintf buf "  \"cores\": %d,\n" (Stdlib.Domain.recommended_domain_count ());
   Buffer.add_string buf "  \"rows\": [\n";
   let n = List.length points in
   List.iteri

@@ -3,25 +3,25 @@
    EXPERIMENTS.md records the measured series).
 
    Usage: bench [E1 E15 ...] [--smoke] [--no-resolve-cache]
-                [--check-speedup MIN] [--check-scaling MIN] [--no-bechamel]
+                [--check-speedup MIN] [--check-compiled-speedup MIN]
+                [--check-delta-speedup MIN] [--no-bechamel]
 
-   With no experiment names, all of E1..E18 plus the Bechamel group run.
+   With no experiment names, all of E1..E17, E21, E22 plus the Bechamel
+   group run.
    --smoke shrinks the parameter sweeps to CI-sized grids and writes the
    reports below to _build/bench-smoke/ instead of the repo root.
    --no-resolve-cache disables the inheritance-resolution cache globally
    (E15 still compares both arms by toggling the per-store switch).
    --check-speedup MIN exits non-zero if E15's worst cached/uncached
-   speedup falls below MIN — the CI gate.
-   --check-scaling MIN exits non-zero if E18's worst 4-job speedup falls
-   below MIN; on machines with fewer than 4 cores the gate skips with a
-   message (scaling cannot be judged there).
+   speedup falls below MIN — the CI gate.  --check-compiled-speedup and
+   --check-delta-speedup gate E21's and E22's ratios the same way.
 
    Output: for every experiment a parameter-sweep table, then a Bechamel
    micro-benchmark group over the headline operations; E15, E16, E17,
-   and E18 additionally write their series to BENCH_resolve_cache.json,
-   BENCH_provenance.json, BENCH_recovery.json, and
-   BENCH_resolve_parallel.json (each with a *.metrics.json registry
-   snapshot companion). *)
+   E21 and E22 additionally write their series to
+   BENCH_resolve_cache.json, BENCH_provenance.json, BENCH_recovery.json,
+   BENCH_compiled.json and BENCH_plan_delta.json (each with a
+   *.metrics.json registry snapshot companion). *)
 
 open Compo_core
 module G = Compo_scenarios.Gates
@@ -30,6 +30,10 @@ module Steel = Compo_scenarios.Steel
 
 let ok = Errors.or_fail
 let say fmt = Format.printf (fmt ^^ "@.")
+
+(* what the hardware can run in parallel, recorded in the reports
+   ([Domain] alone is the paper's attribute-domain module here) *)
+let cores () = Stdlib.Domain.recommended_domain_count ()
 
 (* --smoke: CI-sized parameter grids *)
 let smoke = ref false
@@ -798,51 +802,7 @@ let e17 () =
   e17_results := List.rev !e17_results;
   write_e17_json ()
 
-(* ------------------------------------------------------------------ *)
-(* E18: parallel query engine, scan+resolve scaling over worker count  *)
-
-(* (depth, population, jobs, us/select, speedup vs jobs=1) per row *)
-let e18_results : (int * int * int * float * float) list ref = ref []
-
-(* [skipped] marks a --check-scaling gate that stood down on a small
-   runner: the report then records {"skipped": true, "cores": N} as
-   first-class data instead of burying the fact in the log *)
-let write_e18_json ?(skipped = false) () =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"experiment\": \"E18\",\n";
-  Buffer.add_string buf
-    "  \"description\": \"parallel select with an inherited-attribute \
-     predicate, resolve cache off (every candidate walks its chain), by \
-     worker-domain count\",\n";
-  Printf.bprintf buf "  \"smoke\": %b,\n" !smoke;
-  Printf.bprintf buf "  \"skipped\": %b,\n" skipped;
-  Printf.bprintf buf "  \"cores\": %d,\n" (Compo_par.Pool.available_cores ());
-  Buffer.add_string buf "  \"rows\": [\n";
-  let n = List.length !e18_results in
-  List.iteri
-    (fun i (depth, pop, jobs, us, sp) ->
-      Printf.bprintf buf
-        "    { \"depth\": %d, \"population\": %d, \"jobs\": %d, \
-         \"us_per_select\": %.3f, \"speedup\": %.2f }%s\n"
-        depth pop jobs us sp
-        (if i = n - 1 then "" else ","))
-    !e18_results;
-  Buffer.add_string buf "  ],\n";
-  let at4 =
-    List.filter_map
-      (fun (_, _, jobs, _, sp) -> if jobs = 4 then Some sp else None)
-      !e18_results
-  in
-  (match at4 with
-  | [] -> Buffer.add_string buf "  \"min_speedup_at_4_jobs\": null\n"
-  | _ ->
-      Printf.bprintf buf "  \"min_speedup_at_4_jobs\": %.2f\n"
-        (List.fold_left min infinity at4));
-  Buffer.add_string buf "}\n";
-  write_report "resolve_parallel" ~rows:n (Buffer.contents buf)
-
-(* Shared by E18/E21/E22: [roots] independent chains of depth [depth];
+(* Shared by E21/E22: [roots] independent chains of depth [depth];
    every node of every chain joins the "Pop" extent, so a candidate at
    level k resolves Payload across k transmitter hops.  The resolve
    cache is switched off so the per-candidate work is the real chain
@@ -879,109 +839,54 @@ let chain_population ~depth ~pop =
   Store.set_resolve_cache_enabled (Database.store db) false;
   (db, nroots * (depth + 1), List.rev !roots)
 
-let e18 () =
-  header "E18"
-    "parallel query engine: select with an inherited-attribute predicate, \
-     scaling over jobs (resolve cache off)";
-  e18_results := [];
-  say "(%d core(s) available)" (Compo_par.Pool.available_cores ());
-  say "%8s %10s %6s %16s %10s" "depth" "objects" "jobs" "us/select" "speedup";
-  let grid = if !smoke then [ (4, 250) ] else [ (4, 2000); (8, 1200) ] in
-  (* E18 measures the *interpreted* engine's fan-out (per-candidate chain
-     walks across worker domains); the compiled engine would turn the
-     same workload into a column scan and gut the thing being measured.
-     E21 is the compiled story. *)
-  let plan0 = Plan.enabled () in
-  Plan.set_enabled false;
-  Fun.protect ~finally:(fun () -> Plan.set_enabled plan0) @@ fun () ->
-  List.iter
-    (fun (depth, pop) ->
-      let db, population, _roots = chain_population ~depth ~pop in
-      let where = ok (Compo_ddl.Parser.parse_expr "Payload < 25") in
-      let t1 = ref nan in
-      List.iter
-        (fun jobs ->
-          let sel () = ignore (ok (Database.select db ~cls:"Pop" ~jobs ~where ())) in
-          let t = time_per ~batch:(if !smoke then 3 else 5) sel in
-          if jobs = 1 then t1 := t;
-          let sp = !t1 /. t in
-          e18_results := (depth, population, jobs, us t, sp) :: !e18_results;
-          say "%8d %10d %6d %16.3f %9.2fx" depth population jobs (us t) sp)
-        [ 1; 2; 4; 8 ])
-    grid;
-  e18_results := List.rev !e18_results;
-  write_e18_json ()
-
 (* ------------------------------------------------------------------ *)
 (* E21: compiled plans vs the interpreted evaluator, same workload      *)
 
-(* (depth, population, jobs, Some (interpreted us, compiled us, ratio));
-   [None] is a row skipped because its jobs exceed the cores *)
-let e21_results :
-    (int * int * int * (float * float * float) option) list ref =
-  ref []
+(* (depth, population, interpreted us, compiled us, ratio) per row *)
+let e21_results : (int * int * float * float * float) list ref = ref []
 
-(* the measured single-thread ratios the JSON headline and the
+(* the measured ratios the JSON headline and the
    --check-compiled-speedup gate read *)
-let e21_single_thread () =
-  List.filter_map
-    (function
-      | _, _, 1, Some (_, _, ratio) -> Some ratio
-      | _ -> None)
-    !e21_results
+let e21_ratios () = List.map (fun (_, _, _, _, ratio) -> ratio) !e21_results
 
 let write_e21_json ?(skipped = false) () =
   let buf = Buffer.create 1024 in
-  let cores = Compo_par.Pool.available_cores () in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"experiment\": \"E21\",\n";
   Buffer.add_string buf
     "  \"description\": \"compiled query plans (numeric kernel or closure \
      program over materialized resolved-value columns) vs the interpreted \
-     evaluator on E18's workload, resolve cache off, by worker-domain \
-     count; rows whose jobs exceed the cores are skipped\",\n";
+     evaluator on chains of inheritors, resolve cache off\",\n";
   Printf.bprintf buf "  \"smoke\": %b,\n" !smoke;
   Printf.bprintf buf "  \"skipped\": %b,\n" skipped;
-  Printf.bprintf buf "  \"cores\": %d,\n" cores;
+  Printf.bprintf buf "  \"cores\": %d,\n" (cores ());
   Buffer.add_string buf "  \"rows\": [\n";
   let n = List.length !e21_results in
   List.iteri
-    (fun i (depth, pop, jobs, timing) ->
-      (match timing with
-      | Some (ius, cus, ratio) ->
-          Printf.bprintf buf
-            "    { \"depth\": %d, \"population\": %d, \"jobs\": %d, \
-             \"outcome\": \"ok\", \"interpreted_us\": %.3f, \
-             \"compiled_us\": %.3f, \"ratio\": %.2f }"
-            depth pop jobs ius cus ratio
-      | None ->
-          Printf.bprintf buf
-            "    { \"depth\": %d, \"population\": %d, \"jobs\": %d, \
-             \"outcome\": \"skipped\", \"reason\": \"row needs %d cores, \
-             runner has %d\", \"interpreted_us\": null, \"compiled_us\": \
-             null, \"ratio\": null }"
-            depth pop jobs jobs cores);
-      Buffer.add_string buf (if i = n - 1 then "\n" else ",\n"))
+    (fun i (depth, pop, ius, cus, ratio) ->
+      Printf.bprintf buf
+        "    { \"depth\": %d, \"population\": %d, \"interpreted_us\": %.3f, \
+         \"compiled_us\": %.3f, \"ratio\": %.2f }%s\n"
+        depth pop ius cus ratio
+        (if i = n - 1 then "" else ","))
     !e21_results;
   Buffer.add_string buf "  ],\n";
-  (match e21_single_thread () with
+  (match e21_ratios () with
   | [] -> Buffer.add_string buf "  \"single_thread_ratio\": null\n"
-  | at1 ->
+  | ratios ->
       Printf.bprintf buf "  \"single_thread_ratio\": %.2f\n"
-        (List.fold_left min infinity at1));
+        (List.fold_left min infinity ratios));
   Buffer.add_string buf "}\n";
   write_report "compiled" ~rows:n (Buffer.contents buf)
 
 let e21 () =
   header "E21"
     "compiled query plans: numeric kernel / closure program over \
-     materialized columns vs the interpreted evaluator (E18's workload, \
-     resolve cache off)";
+     materialized columns vs the interpreted evaluator (chains of \
+     inheritors, resolve cache off)";
   e21_results := [];
-  let cores = Compo_par.Pool.available_cores () in
-  say "(%d core(s) available)" cores;
-  say "%8s %10s %6s %16s %14s %8s" "depth" "objects" "jobs" "interp us"
-    "compiled us" "ratio";
+  say "%8s %10s %16s %14s %8s" "depth" "objects" "interp us" "compiled us"
+    "ratio";
   let grid = if !smoke then [ (4, 250) ] else [ (4, 2000) ] in
   let plan0 = Plan.enabled () in
   Fun.protect ~finally:(fun () -> Plan.set_enabled plan0) @@ fun () ->
@@ -989,34 +894,18 @@ let e21 () =
     (fun (depth, pop) ->
       let db, population, _roots = chain_population ~depth ~pop in
       let where = ok (Compo_ddl.Parser.parse_expr "Payload < 25") in
-      List.iter
-        (fun jobs ->
-          if jobs > cores then begin
-            (* more domains than cores times the scheduler, not the
-               engines: recorded as skipped, like the matrix's cells *)
-            e21_results := (depth, population, jobs, None) :: !e21_results;
-            say "%8d %10d %6d %16s %14s %8s" depth population jobs "skipped"
-              "skipped" "-"
-          end
-          else begin
-            let sel () =
-              ignore (ok (Database.select db ~cls:"Pop" ~jobs ~where ()))
-            in
-            let batch = if !smoke then 3 else 5 in
-            Plan.set_enabled false;
-            let ti = time_per ~batch sel in
-            (* time_per's warm-up call builds the registry and columns,
-               so the compiled arm measures the steady state *)
-            Plan.set_enabled true;
-            let tc = time_per ~batch sel in
-            let ratio = ti /. tc in
-            e21_results :=
-              (depth, population, jobs, Some (us ti, us tc, ratio))
-              :: !e21_results;
-            say "%8d %10d %6d %16.3f %14.3f %7.2fx" depth population jobs
-              (us ti) (us tc) ratio
-          end)
-        [ 1; 2; 4 ])
+      let sel () = ignore (ok (Database.select db ~cls:"Pop" ~where ())) in
+      let batch = if !smoke then 3 else 5 in
+      Plan.set_enabled false;
+      let ti = time_per ~batch sel in
+      (* time_per's warm-up call builds the registry and columns, so the
+         compiled arm measures the steady state *)
+      Plan.set_enabled true;
+      let tc = time_per ~batch sel in
+      let ratio = ti /. tc in
+      e21_results := (depth, population, us ti, us tc, ratio) :: !e21_results;
+      say "%8d %10d %16.3f %14.3f %7.2fx" depth population (us ti) (us tc)
+        ratio)
     grid;
   e21_results := List.rev !e21_results;
   write_e21_json ()
@@ -1034,11 +923,11 @@ let write_e22_json ?(skipped = false) () =
   Buffer.add_string buf
     "  \"description\": \"delta-maintained plan state (change-log patching \
      of adjacency arrays and materialized columns) vs full epoch rebuild on \
-     a mixed read/write workload over E18's chain population, by write \
+     a mixed read/write workload over E21's chain population, by write \
      percentage\",\n";
   Printf.bprintf buf "  \"smoke\": %b,\n" !smoke;
   Printf.bprintf buf "  \"skipped\": %b,\n" skipped;
-  Printf.bprintf buf "  \"cores\": %d,\n" (Compo_par.Pool.available_cores ());
+  Printf.bprintf buf "  \"cores\": %d,\n" (cores ());
   Buffer.add_string buf "  \"rows\": [\n";
   let n = List.length !e22_results in
   List.iteri
@@ -1067,9 +956,8 @@ let write_e22_json ?(skipped = false) () =
 let e22 () =
   header "E22"
     "incremental plan maintenance: delta-patched columns vs full rebuild \
-     under a mixed read/write workload (E18's chains, resolve cache off)";
+     under a mixed read/write workload (E21's chains, resolve cache off)";
   e22_results := [];
-  say "(%d core(s) available)" (Compo_par.Pool.available_cores ());
   say "%8s %10s %7s %14s %16s %8s" "depth" "objects" "write%" "delta us/op"
     "rebuild us/op" "ratio";
   let grid = if !smoke then [ (4, 250) ] else [ (4, 2000) ] in
@@ -1105,7 +993,7 @@ let e22 () =
                      (Value.Int (i mod 50)))
               else
                 ignore
-                  (ok (Database.select db ~cls:"Pop" ~jobs:1 ~where ()))
+                  (ok (Database.select db ~cls:"Pop" ~where ()))
             done
           in
           Plan.set_delta_enabled false;
@@ -1237,12 +1125,12 @@ let experiments =
     ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
     ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11);
     ("E12", e12); ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16);
-    ("E17", e17); ("E18", e18); ("E21", e21); ("E22", e22);
+    ("E17", e17); ("E21", e21); ("E22", e22);
   ]
 
 let usage () =
-  say "usage: bench [E1 .. E18, E21, E22 | bechamel ...] [--smoke] [--no-resolve-cache]";
-  say "             [--check-speedup MIN] [--check-scaling MIN]";
+  say "usage: bench [E1 .. E17, E21, E22 | bechamel ...] [--smoke] [--no-resolve-cache]";
+  say "             [--check-speedup MIN]";
   say "             [--check-compiled-speedup MIN] [--check-delta-speedup MIN]";
   say "             [--no-bechamel]";
   exit 2
@@ -1250,8 +1138,8 @@ let usage () =
 let () =
   (* honour the process-level switches the ablation matrix renders its
      cells into: COMPO_SLOW_MS/COMPO_TRACE_CAPACITY, COMPO_PROVENANCE,
-     COMPO_FAILPOINTS (COMPO_NO_RESOLVE_CACHE, COMPO_NO_INDEX and
-     COMPO_JOBS are read at module init / per select).  Without these
+     COMPO_FAILPOINTS (COMPO_NO_RESOLVE_CACHE and COMPO_NO_INDEX are
+     read at module init).  Without these
      calls an armed-failpoint or provenance-on cell would silently
      measure the same configuration as the baseline. *)
   Compo_obs.Trace.configure_from_env ();
@@ -1265,7 +1153,6 @@ let () =
       say "bench: %s" msg;
       exit 2);
   let check = ref None in
-  let check_scaling = ref None in
   let check_compiled = ref None in
   let check_delta = ref None in
   let no_bechamel = ref false in
@@ -1288,13 +1175,6 @@ let () =
             parse rest
         | None -> usage ())
     | "--check-speedup" :: [] -> usage ()
-    | "--check-scaling" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some f ->
-            check_scaling := Some f;
-            parse rest
-        | None -> usage ())
-    | "--check-scaling" :: [] -> usage ()
     | "--check-compiled-speedup" :: v :: rest -> (
         match float_of_string_opt v with
         | Some f ->
@@ -1350,51 +1230,12 @@ let () =
           else
             say "check-speedup: OK - worst E15 speedup %.2fx >= %.2fx" worst
               min_required));
-  (match !check_scaling with
-  | None -> ()
-  | Some min_required -> (
-      (* the documented escape hatch: a scaling gate is meaningless when
-         the machine cannot schedule 4 worker domains in parallel (CI
-         runners are often 2-core), so the gate stands down — loudly —
-         instead of failing on hardware grounds *)
-      let cores = Compo_par.Pool.available_cores () in
-      if cores < 4 then begin
-        say
-          "check-scaling: SKIP - only %d core(s) available, cannot judge \
-           4-job scaling (gate requires >= 4)"
-          cores;
-        (* the SKIP is data, not just a log line: rewrite the report so
-           the bench trajectory stays honest on small runners *)
-        write_e18_json ~skipped:true ()
-      end
-      else
-        match
-          List.filter_map
-            (fun (_, _, jobs, _, sp) -> if jobs = 4 then Some sp else None)
-            !e18_results
-        with
-        | [] ->
-            say "check-scaling: E18 did not run, nothing to gate on";
-            exit 2
-        | at4 ->
-            let worst = List.fold_left min infinity at4 in
-            if worst < min_required then begin
-              say
-                "check-scaling: FAIL - worst E18 speedup at 4 jobs %.2fx < \
-                 required %.2fx"
-                worst min_required;
-              exit 1
-            end
-            else
-              say "check-scaling: OK - worst E18 speedup at 4 jobs %.2fx >= %.2fx"
-                worst min_required));
   (match !check_compiled with
   | None -> ()
   | Some min_required -> (
-      (* single-thread ratio, so the gate needs no parallelism — but a
-         1-core shared runner times too noisily to judge a perf ratio,
-         so it stands down loudly (and the report records the SKIP) *)
-      let cores = Compo_par.Pool.available_cores () in
+      (* a 1-core shared runner times too noisily to judge a perf ratio,
+         so the gate stands down loudly (and the report records the SKIP) *)
+      let cores = cores () in
       if cores < 2 then begin
         say
           "check-compiled-speedup: SKIP - only %d core(s) available, \
@@ -1403,23 +1244,23 @@ let () =
         write_e21_json ~skipped:true ()
       end
       else
-        match e21_single_thread () with
+        match e21_ratios () with
         | [] ->
             say "check-compiled-speedup: E21 did not run, nothing to gate on";
             exit 2
-        | at1 ->
-            let worst = List.fold_left min infinity at1 in
+        | ratios ->
+            let worst = List.fold_left min infinity ratios in
             if worst < min_required then begin
               say
                 "check-compiled-speedup: FAIL - compiled/interpreted \
-                 single-thread ratio %.2fx < required %.2fx"
+                 ratio %.2fx < required %.2fx"
                 worst min_required;
               exit 1
             end
             else
               say
                 "check-compiled-speedup: OK - compiled/interpreted \
-                 single-thread ratio %.2fx >= %.2fx"
+                 ratio %.2fx >= %.2fx"
                 worst min_required));
   (match !check_delta with
   | None -> ()
@@ -1427,7 +1268,7 @@ let () =
       (* same hardware caveat as the compiled gate: a 1-core shared
          runner times too noisily to judge a perf ratio, so the gate
          stands down loudly and the report records the SKIP *)
-      let cores = Compo_par.Pool.available_cores () in
+      let cores = cores () in
       if cores < 2 then begin
         say
           "check-delta-speedup: SKIP - only %d core(s) available, timings \

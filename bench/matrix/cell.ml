@@ -1,7 +1,7 @@
 type axis = { ax_name : string; ax_values : string list }
 
 (* canonical axis order; ids and tables render in this order *)
-let canonical = [ "cache"; "index"; "compile"; "delta"; "jobs"; "prov"; "fp" ]
+let canonical = [ "cache"; "index"; "compile"; "delta"; "prov"; "fp" ]
 
 let axis_rank name =
   let rec go i = function
@@ -43,18 +43,12 @@ let env t =
       | "compile", _ -> []
       | "delta", "off" -> [ ("COMPO_NO_DELTA", "1") ]
       | "delta", _ -> []
-      | "jobs", n -> [ ("COMPO_JOBS", n) ]
       | "prov", "on" -> [ ("COMPO_PROVENANCE", "1") ]
       | "prov", _ -> []
       | "fp", "armed" -> [ ("COMPO_FAILPOINTS", failpoint_spec) ]
       | "fp", _ -> []
       | _, _ -> [])
     t.c_axes
-
-let required_cores t =
-  match Option.bind (value t "jobs") int_of_string_opt with
-  | Some n when n > 1 -> n
-  | Some _ | None -> 1
 
 let product axes_list =
   let rec go = function
@@ -82,7 +76,7 @@ let dedup cells =
 let default_cells () =
   let onoff name = { ax_name = name; ax_values = [ "on"; "off" ] } in
   (* the main ablation block: every cache x index x compile x prov
-     combination, sequential, failpoints unarmed *)
+     combination, failpoints unarmed *)
   let base =
     product
       [
@@ -90,24 +84,7 @@ let default_cells () =
         onoff "index";
         onoff "compile";
         { ax_name = "delta"; ax_values = [ "on" ] };
-        { ax_name = "jobs"; ax_values = [ "1" ] };
         { ax_name = "prov"; ax_values = [ "off"; "on" ] };
-        { ax_name = "fp"; ax_values = [ "off" ] };
-      ]
-  in
-  (* the multicore block: jobs in {2,4} crossed with the cache and
-     compile axes — the headline parallel-select claim under both
-     engines, skipped loudly (not silently) on runners with fewer cores
-     than jobs *)
-  let jobs_sweep =
-    product
-      [
-        onoff "cache";
-        { ax_name = "index"; ax_values = [ "on" ] };
-        onoff "compile";
-        { ax_name = "delta"; ax_values = [ "on" ] };
-        { ax_name = "jobs"; ax_values = [ "2"; "4" ] };
-        { ax_name = "prov"; ax_values = [ "off" ] };
         { ax_name = "fp"; ax_values = [ "off" ] };
       ]
   in
@@ -118,22 +95,20 @@ let default_cells () =
       make
         [
           ("cache", "on"); ("index", "on"); ("compile", "on");
-          ("delta", "on"); ("jobs", "1"); ("prov", "off"); ("fp", "armed");
+          ("delta", "on"); ("prov", "off"); ("fp", "armed");
         ];
     ]
   in
-  (* delta flips: the compiled engine with incremental plan maintenance
+  (* delta flip: the compiled engine with incremental plan maintenance
      disabled (every change-log window falls back to a full epoch
-     rebuild), sequential and at the headline 4-job point — what the
-     delta machinery buys each configuration *)
+     rebuild) — what the delta machinery buys the baseline *)
   let delta_off =
-    List.map
-      (fun jobs ->
-        make
-          [
-            ("cache", "on"); ("index", "on"); ("compile", "on");
-            ("delta", "off"); ("jobs", jobs); ("prov", "off"); ("fp", "off");
-          ])
-      [ "1"; "4" ]
+    [
+      make
+        [
+          ("cache", "on"); ("index", "on"); ("compile", "on");
+          ("delta", "off"); ("prov", "off"); ("fp", "off");
+        ];
+    ]
   in
-  dedup (base @ jobs_sweep @ fp_armed @ delta_off)
+  dedup (base @ fp_armed @ delta_off)

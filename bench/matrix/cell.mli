@@ -3,14 +3,13 @@
     A cell is one point in the configuration space the kernel already
     exposes through environment switches: resolve cache on/off, index
     access paths on/off, compiled query engine on/off, incremental plan
-    maintenance (delta) on/off, worker-domain count, provenance
-    recording on/off, failpoint machinery
-    armed/unarmed.  The matrix runner
+    maintenance (delta) on/off, provenance recording on/off, failpoint
+    machinery armed/unarmed.  The matrix runner
     executes the same curated bench suite once per cell in a fresh
     subprocess, so each axis's contribution is measured, not asserted
     (docs/PERFORMANCE.md, "Ablation matrix").
 
-    Axis order is fixed (cache, index, compile, delta, jobs, prov, fp) and cell ids are
+    Axis order is fixed (cache, index, compile, delta, prov, fp) and cell ids are
     derived from it, so ids are stable across runs and machines —
     [compo benchdiff] joins committed and fresh matrices on them. *)
 
@@ -31,21 +30,14 @@ val axes : t -> (string * string) list
 
 val id : t -> string
 (** Stable identifier, e.g.
-    ["cache=on index=on compile=on delta=on jobs=4 prov=off fp=off"]. *)
+    ["cache=on index=on compile=on delta=on prov=off fp=off"]. *)
 
 val value : t -> string -> string option
 (** The cell's value on one axis. *)
 
 val env : t -> (string * string) list
 (** Environment rendering: the [COMPO_*] variables that realise the
-    cell.  Only non-default values emit a variable, except [COMPO_JOBS]
-    which is always explicit so a cell never inherits the caller's. *)
-
-val required_cores : t -> int
-(** Cores the cell needs to be an honest measurement: its job count.
-    The runner skips (with a recorded reason) cells that need more
-    cores than the machine has — a 4-domain pool on one core measures
-    scheduler contention, not scaling. *)
+    cell.  Only non-default values emit a variable. *)
 
 val product : axis list -> t list
 (** Cartesian product over the axes, in axis-major order. *)
@@ -54,12 +46,10 @@ val dedup : t list -> t list
 (** Drop cells with duplicate ids, keeping first occurrences. *)
 
 val default_cells : unit -> t list
-(** The curated enumeration (27 cells): the full
-    cache x index x compile x prov product at [jobs=1], a jobs in {2,4}
-    sweep crossed with the cache and compile axes, a
-    failpoints-armed flip of the baseline, and delta-off flips of the
-    baseline at [jobs=1] and [jobs=4] (compiled engine forced onto the
-    full-rebuild path via [COMPO_NO_DELTA]). *)
+(** The curated enumeration (18 cells): the full
+    cache x index x compile x prov product, a failpoints-armed flip of
+    the baseline, and a delta-off flip of the baseline (compiled engine
+    forced onto the full-rebuild path via [COMPO_NO_DELTA]). *)
 
 val failpoint_spec : string
 (** The [COMPO_FAILPOINTS] spec the armed axis uses: a WAL-append site

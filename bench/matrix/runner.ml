@@ -15,7 +15,6 @@ let key_metrics =
     "inheritance.cache.miss";
     "index.lookup";
     "ordered_index.lookup";
-    "par.tasks";
     "eval.node";
     "faults.fired";
   ]
@@ -130,76 +129,67 @@ let run_cell config cell =
       r_metrics = metrics;
     }
   in
-  let cores = Compo_par.Pool.available_cores () in
-  let need = Cell.required_cores cell in
-  if need > cores then
-    finish
-      (Report.Skipped
-         (Printf.sprintf "cell needs %d cores, runner has %d" need cores))
-      Float.nan []
-  else begin
-    let dir = temp_dir () in
-    let log_path = Filename.concat dir "cell.log" in
-    let bench =
-      if Filename.is_relative config.bench_exe then
-        Filename.concat (Sys.getcwd ()) config.bench_exe
-      else config.bench_exe
+  let dir = temp_dir () in
+  let log_path = Filename.concat dir "cell.log" in
+  let bench =
+    if Filename.is_relative config.bench_exe then
+      Filename.concat (Sys.getcwd ()) config.bench_exe
+    else config.bench_exe
+  in
+  let argv =
+    Array.of_list
+      ((bench :: (if config.smoke then [ "--smoke" ] else []))
+      @ ("--no-bechamel" :: config.suite))
+  in
+  let outcome, wall =
+    let log_fd =
+      Unix.openfile log_path [ Unix.O_WRONLY; O_CREAT; O_TRUNC ] 0o600
     in
-    let argv =
-      Array.of_list
-        ((bench :: (if config.smoke then [ "--smoke" ] else []))
-        @ ("--no-bechamel" :: config.suite))
-    in
-    let outcome, wall =
-      let log_fd =
-        Unix.openfile log_path [ Unix.O_WRONLY; O_CREAT; O_TRUNC ] 0o600
+    let t0 = Unix.gettimeofday () in
+    match
+      let pid =
+        let cwd = Sys.getcwd () in
+        Sys.chdir dir;
+        Fun.protect
+          ~finally:(fun () -> Sys.chdir cwd)
+          (fun () ->
+            Unix.create_process_env bench argv (cell_environment cell)
+              Unix.stdin log_fd log_fd)
       in
-      let t0 = Unix.gettimeofday () in
-      match
-        let pid =
-          let cwd = Sys.getcwd () in
-          Sys.chdir dir;
-          Fun.protect
-            ~finally:(fun () -> Sys.chdir cwd)
-            (fun () ->
-              Unix.create_process_env bench argv (cell_environment cell)
-                Unix.stdin log_fd log_fd)
+      Unix.close log_fd;
+      Unix.waitpid [] pid
+    with
+    | _, Unix.WEXITED 0 -> (Report.Ok_run, Unix.gettimeofday () -. t0)
+    | _, status ->
+        let wall = Unix.gettimeofday () -. t0 in
+        let status_str =
+          match status with
+          | Unix.WEXITED n -> Printf.sprintf "exit %d" n
+          | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
+          | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n
         in
-        Unix.close log_fd;
-        Unix.waitpid [] pid
-      with
-      | _, Unix.WEXITED 0 -> (Report.Ok_run, Unix.gettimeofday () -. t0)
-      | _, status ->
-          let wall = Unix.gettimeofday () -. t0 in
-          let status_str =
-            match status with
-            | Unix.WEXITED n -> Printf.sprintf "exit %d" n
-            | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
-            | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n
-          in
-          let detail =
-            match last_log_line log_path with
-            | Some line -> status_str ^ ": " ^ line
-            | None -> status_str
-          in
-          (Report.Failed detail, wall)
-      | exception Unix.Unix_error (err, _, _) ->
-          (try Unix.close log_fd with Unix.Unix_error _ -> ());
-          ( Report.Failed
-              (Printf.sprintf "could not spawn %s: %s" bench
-                 (Unix.error_message err)),
-            0.0 )
-    in
-    let metrics =
-      match outcome with
-      | Report.Ok_run -> harvest_metrics dir config.suite
-      | _ -> []
-    in
-    if config.keep_dirs then
-      config.log (Printf.sprintf "  kept scratch dir %s" dir)
-    else remove_dir dir;
-    finish outcome wall metrics
-  end
+        let detail =
+          match last_log_line log_path with
+          | Some line -> status_str ^ ": " ^ line
+          | None -> status_str
+        in
+        (Report.Failed detail, wall)
+    | exception Unix.Unix_error (err, _, _) ->
+        (try Unix.close log_fd with Unix.Unix_error _ -> ());
+        ( Report.Failed
+            (Printf.sprintf "could not spawn %s: %s" bench
+               (Unix.error_message err)),
+          0.0 )
+  in
+  let metrics =
+    match outcome with
+    | Report.Ok_run -> harvest_metrics dir config.suite
+    | _ -> []
+  in
+  if config.keep_dirs then
+    config.log (Printf.sprintf "  kept scratch dir %s" dir)
+  else remove_dir dir;
+  finish outcome wall metrics
 
 let run config cells =
   let rows =
@@ -217,7 +207,7 @@ let run config cells =
   in
   {
     Report.m_smoke = config.smoke;
-    m_cores = Compo_par.Pool.available_cores ();
+    m_cores = Domain.recommended_domain_count ();
     m_suite = config.suite;
     m_rows = rows;
   }

@@ -6,13 +6,7 @@
     — are honestly applied) and in its own scratch directory, so cell
     runs never clobber the repo's committed [BENCH_*.json] files.  The
     runner scrubs every inherited [COMPO_*] variable before applying
-    the cell's rendering: a cell's environment is exactly its axes.
-
-    Cells whose job count exceeds the machine's cores are not run:
-    they are recorded as skipped with the reason, because timing a
-    4-domain pool on one core measures scheduler contention, not
-    scaling.  The skip travels in the report and is rendered loudly
-    downstream. *)
+    the cell's rendering: a cell's environment is exactly its axes. *)
 
 type config = {
   bench_exe : string;  (** path to [bench/main.exe]; made absolute *)
@@ -25,7 +19,7 @@ type config = {
 val key_metrics : string list
 (** Registry metrics harvested per cell from the subprocess's obs
     snapshots ([COMPO_BENCH_METRICS=1] companions): cache hit/miss
-    traffic, index lookups, pool tasks, evaluator node count, fired
+    traffic, index lookups, evaluator node count, fired
     failpoints (0 proves an armed cell's site never actually fired).
     [eval.node] is machine-independent for a fixed suite, so it doubles
     as a behavioural invariant across runs. *)

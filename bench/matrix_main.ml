@@ -84,7 +84,7 @@ let () =
   say "ablation matrix: %d cell(s), suite %s, %d core(s) available"
     (List.length cells)
     (String.concat " " !suite)
-    (Compo_par.Pool.available_cores ());
+    (Domain.recommended_domain_count ());
   let config =
     {
       M.Runner.bench_exe = !bench;

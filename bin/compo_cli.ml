@@ -27,29 +27,8 @@ let or_die = function
       prerr_endline ("compo: " ^ Errors.to_string e);
       exit 1
 
-(* strict --jobs / COMPO_JOBS validation: zero, negative or non-numeric
-   job counts die with one line here instead of silently running
-   sequentially downstream (Pool.default_jobs is lenient by design) *)
-let validate_jobs jobs =
-  (match Sys.getenv_opt "COMPO_JOBS" with
-  | None -> ()
-  | Some raw -> (
-      match Compo_par.Pool.parse_jobs raw with
-      | Ok _ -> ()
-      | Error msg ->
-          prerr_endline ("compo: COMPO_JOBS " ^ msg);
-          exit 1));
-  match jobs with
-  | None -> None
-  | Some n -> (
-      match Compo_par.Pool.parse_jobs (string_of_int n) with
-      | Ok n -> Some n
-      | Error msg ->
-          prerr_endline ("compo: --jobs " ^ msg);
-          exit 1)
-
-(* COMPO_TRACE_SAMPLE, same convention: a garbage sampling rate dies
-   with one line instead of silently tracing nothing *)
+(* COMPO_TRACE_SAMPLE: a garbage sampling rate dies with one line
+   instead of silently tracing nothing *)
 let env_trace_sample () =
   match Compo_net.Client.trace_sample_from_env () with
   | Ok v -> v
@@ -239,14 +218,13 @@ let cmd_show dir raw_id =
             (String.concat ", " (List.map Surrogate.to_string ms)))
         e.Store.subrels)
 
-let cmd_query dir cls where_src jobs =
-  let jobs = validate_jobs jobs in
+let cmd_query dir cls where_src =
   with_journal dir (fun j ->
       let db = Compo_storage.Journal.db j in
       let where =
         Option.map (fun src -> or_die (Compo_ddl.Parser.parse_expr src)) where_src
       in
-      let found = or_die (Database.select db ~cls ?jobs ?where ()) in
+      let found = or_die (Database.select db ~cls ?where ()) in
       List.iter
         (fun s ->
           let ty = or_die (Database.type_of db s) in
@@ -512,10 +490,9 @@ let cmd_flightrec file =
              else "");
           Format.printf "%a@?" F.pp_events events)
 
-let cmd_stats files format line_protocol slow_ms no_resolve_cache jobs connect =
+let cmd_stats files format line_protocol slow_ms no_resolve_cache connect =
   let module Obs = Compo_obs.Metrics in
   let module Trace = Compo_obs.Trace in
-  let jobs = validate_jobs jobs in
   let format = if line_protocol then `Line_protocol else format in
   match connect with
   | Some sock -> cmd_stats_connect sock format
@@ -558,16 +535,14 @@ let cmd_stats files format line_protocol slow_ms no_resolve_cache jobs connect =
   done;
   let where = or_die (Compo_ddl.Parser.parse_expr "Length >= 0") in
   let (_ : Surrogate.t list) = or_die (Database.select jdb ~cls:"Gates" ~where ()) in
-  (* a wider population drives the parallel read path: 64 implementations
-     bound to one interface, selected on an attribute they all inherit,
-     with the requested parallelism (--jobs, else COMPO_JOBS, else
-     sequential — so the par.* families show exactly the configured
-     fan-out) *)
+  (* a wider population drives the inherited read path: 64
+     implementations bound to one interface, selected on an attribute
+     they all inherit *)
   let (_ : Surrogate.t * Surrogate.t list) =
     or_die (Compo_scenarios.Workload.interface_with_inheritors jdb ~n:64)
   in
   let (_ : Surrogate.t list) =
-    or_die (Database.select jdb ~cls:"Implementations" ?jobs ~where ())
+    or_die (Database.select jdb ~cls:"Implementations" ~where ())
   in
   let (_ : Constraints.violation list) = Database.validate_all jdb in
   (* two designers colliding on the flip-flop: X held, S blocked *)
@@ -623,17 +598,6 @@ let metrics_arg =
         ~doc:
           "Collect kernel metrics while the command runs and dump the \
            registry to stderr afterwards.")
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Evaluate selects on $(docv) worker domains.  The result is \
-           identical to the sequential plan (same rows, same order); only \
-           the wall time changes.  Takes precedence over the COMPO_JOBS \
-           environment variable; default 1.")
 
 let no_resolve_cache_arg =
   Arg.(
@@ -710,8 +674,8 @@ let query_cmd =
   Cmd.v (Cmd.info "query" ~doc:"Select class members by predicate")
     (instrumented
        Term.(
-         const (fun dir cls where jobs () -> cmd_query dir cls where jobs)
-         $ dir_arg $ cls $ where $ jobs_arg))
+         const (fun dir cls where () -> cmd_query dir cls where)
+         $ dir_arg $ cls $ where))
 
 let simulate_cmd =
   let id = Arg.(required & pos 1 (some string) None & info [] ~docv:"GATE-ID") in
@@ -787,7 +751,7 @@ let stats_cmd =
        ~doc:"Run an instrumented workload and dump the metrics registry")
     Term.(
       const cmd_stats $ files $ format $ line_protocol $ slow
-      $ no_resolve_cache_arg $ jobs_arg $ connect)
+      $ no_resolve_cache_arg $ connect)
 
 let slowlog_cmd =
   let connect =
@@ -1098,10 +1062,6 @@ let () =
            columns from scratch on the next select instead of patching \
            them in place from the store's change log.  Results are \
            identical either way.";
-      Cmd.Env.info "COMPO_JOBS"
-        ~doc:
-          "Default worker-domain count for parallel selects (see --jobs, \
-           which takes precedence).  Results are identical at any value.";
       Cmd.Env.info "COMPO_TRACE_SAMPLE"
         ~doc:
           "Probability in [0,1] that a request sent over --connect \

@@ -45,9 +45,6 @@ let entity_count db =
 
 let serve socket_path dir demo populate accept_domains idle_timeout drain
     flightrec quiet =
-  (match Compo_par.Pool.env_jobs () with
-  | Ok _ -> ()
-  | Error msg -> die ("COMPO_JOBS " ^ msg));
   (match Compo_obs.Flightrec.configure_from_env () with
   | Ok () -> ()
   | Error msg -> die msg);

@@ -284,39 +284,21 @@ let rec conjunction_plan t ~cls expr =
               | None -> None))
       | _ -> None)
 
-let select t ~cls ?jobs ?where () =
-  let jobs = Compo_par.Pool.effective_jobs jobs in
-  let planned jobs =
-    (* planning reads the schema and index registry, so with [jobs > 1]
-       the caller has latched before calling us *)
-    match Option.bind where (conjunction_plan t ~cls) with
-    | Some (plan, residual) ->
-        let* candidates = run_plan t ~cls plan in
-        Ok (Some (Query.filter_candidates ~jobs t.db_store residual candidates))
-    | None -> Ok None
-  in
-  if jobs <= 1 then
-    let* rows = planned 1 in
-    match rows with
-    | Some rows -> Ok rows
-    | None -> Query.select t.db_store ~cls ~jobs:1 ?where ()
-  else
-    (* one latch section covers planning, the access stage and the
-       fan-out, so every worker evaluates the frozen snapshot the plan
-       was built against *)
-    Store.with_read_latch t.db_store @@ fun () ->
-    let jobs = Query.latched_jobs t.db_store jobs in
-    let* rows = planned jobs in
-    match rows with
-    | Some rows -> Ok rows
-    | None -> (
-        Trace.with_span "query.select" ~attrs:[ ("cls", cls) ] @@ fun () ->
-        (* we already hold the read latch, which is the scan's jobs > 1
-           contract *)
-        Query.scan t.db_store ~cls ~jobs where)
+let select t ~cls ?jobs:_ ?where () =
+  (* one latch section covers planning (the schema and index registry),
+     the access stage and the filter, so the rows come from one frozen
+     snapshot even with a writer on another domain *)
+  Store.with_read_latch t.db_store @@ fun () ->
+  match Option.bind where (conjunction_plan t ~cls) with
+  | Some (plan, residual) ->
+      let* candidates = run_plan t ~cls plan in
+      Ok (Query.filter_candidates t.db_store residual candidates)
+  | None ->
+      Trace.with_span "query.select" ~attrs:[ ("cls", cls) ] @@ fun () ->
+      Query.scan t.db_store ~cls where
 
-let select_subobjects t ~parent ~subclass ?jobs ?where () =
-  Query.select_subobjects t.db_store ~parent ~subclass ?jobs ?where ()
+let select_subobjects t ~parent ~subclass ?where () =
+  Query.select_subobjects t.db_store ~parent ~subclass ?where ()
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN                                                             *)
@@ -348,6 +330,7 @@ let describe_plan = function
    timing and the eval.node delta.  Kept separate so the plain read path
    never pays the clock calls. *)
 let explain_select t ~cls ?where () =
+  Store.with_read_latch t.db_store @@ fun () ->
   let where_str = Option.map Expr.to_string where in
   let nodes0 = Eval.node_count () in
   match Option.bind where (conjunction_plan t ~cls) with
@@ -398,7 +381,7 @@ let explain_select t ~cls ?where () =
       let t0 = Unix.gettimeofday () in
       let compiled =
         match where with
-        | Some pred -> Plan.try_scan t.db_store ~cls ~jobs:1 pred
+        | Some pred -> Plan.try_scan t.db_store ~cls pred
         | None -> None
       in
       match compiled with

@@ -141,20 +141,13 @@ val select :
     the index and the rest filters the candidates.  Anything else scans
     the extent.
 
-    [jobs] (default: [COMPO_JOBS], else 1) runs the residual filter on a
-    pool of worker domains; planning, the access stage and the whole
-    fan-out happen under one read-latch section, so every worker
-    evaluates the same frozen snapshot and the rows come back in the
-    exact order the sequential plan produces.  [select ~jobs:n] is
-    observationally identical to [select ~jobs:1] for every [n] — the
-    differential suite ([test_par_diff]) proves it over randomized
-    schemas, populations, predicates {e and} mutation interleavings
-    (binds, unbinds, attribute writes and deletes between selects
-    exercise {!Plan}'s delta-maintained columns against the interpreted
-    engine). *)
+    The select runs on the calling domain, and one read-latch section
+    covers planning, the access stage and the filter, so the rows come
+    from one frozen snapshot even with a writer on another domain.
+    [jobs] is accepted and ignored. *)
 
 val select_subobjects :
-  t -> parent:Surrogate.t -> subclass:string -> ?jobs:int -> ?where:Expr.t ->
+  t -> parent:Surrogate.t -> subclass:string -> ?where:Expr.t ->
   unit -> (Surrogate.t list, Errors.t) result
 
 val explain_select :

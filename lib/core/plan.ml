@@ -4,12 +4,11 @@
    change log.  See plan.mli for the contract; the
    load-bearing invariant throughout is that a compiled scan keeps a row
    iff the interpreted scan would keep it (same order, same rows), which
-   the 3-way differential oracle in test/test_par_diff.ml checks over
+   the differential oracle in test/test_par_diff.ml checks over
    hundreds of random schemas — now with mutation batches interleaved
    between the selects, so the delta path itself is under the oracle. *)
 
 module Obs = Compo_obs.Metrics
-module Pool = Compo_par.Pool
 
 let m_compiled = Obs.counter "plan.scan.compiled"
 let m_fallback = Obs.counter "plan.scan.fallback"
@@ -122,8 +121,9 @@ type state = {
   mutable s_registry : registry option;
   s_columns : (string * string, column) Hashtbl.t;  (* (cls, spec key) *)
   s_decisions : (string * string, decision) Hashtbl.t;  (* (type, attr) *)
-  s_lock : Mutex.t;  (* guards s_decisions during parallel column fills *)
-  s_catchup : Mutex.t;  (* serializes readers bringing the state current *)
+  s_catchup : Mutex.t;
+      (* serializes readers bringing the state current (and so every
+         use of the [s_decisions] memo) *)
 }
 
 and column = {
@@ -159,7 +159,6 @@ let state_of store =
           s_registry = None;
           s_columns = Hashtbl.create 16;
           s_decisions = Hashtbl.create 64;
-          s_lock = Mutex.create ();
           s_catchup = Mutex.create ();
         }
       in
@@ -327,23 +326,19 @@ let registry_of store st stamp =
           rebuild_registry store st stamp)
   | Some _ | None -> rebuild_registry store st stamp
 
+(* memoized in [s_decisions]: the caller holds [s_catchup] *)
 let decision_of st schema ty attr =
-  Mutex.lock st.s_lock;
-  let d =
-    match Hashtbl.find_opt st.s_decisions (ty, attr) with
-    | Some d -> d
-    | None ->
-        let d =
-          match Schema.find_effective_attr schema ty attr with
-          | None -> Absent
-          | Some (_, Schema.Own) -> Own
-          | Some (_, Schema.Via _) -> Via
-        in
-        Hashtbl.replace st.s_decisions (ty, attr) d;
-        d
-  in
-  Mutex.unlock st.s_lock;
-  d
+  match Hashtbl.find_opt st.s_decisions (ty, attr) with
+  | Some d -> d
+  | None ->
+      let d =
+        match Schema.find_effective_attr schema ty attr with
+        | None -> Absent
+        | Some (_, Schema.Own) -> Own
+        | Some (_, Schema.Via _) -> Via
+      in
+      Hashtbl.replace st.s_decisions (ty, attr) d;
+      d
 
 (* ------------------------------------------------------------------ *)
 (* Column materialization                                               *)
@@ -431,23 +426,6 @@ let rdeps_remove tbl d m =
       | [] -> Surrogate.Tbl.remove tbl d
       | ms -> Surrogate.Tbl.replace tbl d ms)
 
-let dummy_cell = { cv = Value.Null; ce = false; cvol = false; cdeps = [] }
-
-(* fill every row; worker domains are safe here because the fill only
-   reads store state (the read latch is held for jobs > 1) and the
-   decision memo takes the state lock *)
-let fill_all store st reg spec marr ~jobs =
-  let n = Array.length marr in
-  let cells = Array.make n dummy_cell in
-  let schema = Store.schema store in
-  let fill lo hi =
-    for i = lo to hi - 1 do
-      cells.(i) <- fill_cell store st reg schema spec marr.(i)
-    done
-  in
-  if jobs > 1 && n >= 256 then Pool.iter_range ~jobs n fill else fill 0 n;
-  cells
-
 let count_true a = Array.fold_left (fun n b -> if b then n + 1 else n) 0 a
 
 (* The numeric shadow holds a cell that is an [Int] or a non-NaN [Real]
@@ -502,10 +480,10 @@ let reset_rows col marr =
   col.col_num <- Array.make shadowed Float.nan;
   col.col_kind <- Bytes.make shadowed k_boxed
 
-let build_column store st reg ~cls ~spec members stamp ~jobs =
+let build_column store st reg ~cls ~spec members stamp =
   Obs.incr m_col_build;
   let marr = Array.of_list (Lazy.force members) in
-  let cells = fill_all store st reg spec marr ~jobs in
+  let cells = Array.map (fill_cell store st reg (Store.schema store) spec) marr in
   let col =
     {
       col_stamp = stamp;
@@ -661,10 +639,10 @@ let apply_column_delta store st reg col members stamp chs =
   col.col_stamp <- stamp
 
 (* returns (column, built-by-this-call) *)
-let column_of store st reg ~cls ~spec members stamp ~jobs =
+let column_of store st reg ~cls ~spec members stamp =
   let key = (cls, spec_key spec) in
   let rebuild () =
-    let c = build_column store st reg ~cls ~spec members stamp ~jobs in
+    let c = build_column store st reg ~cls ~spec members stamp in
     Hashtbl.replace st.s_columns key c;
     (c, true)
   in
@@ -891,20 +869,16 @@ let rec kernel_leaves slots expr =
       leaf (Expr.flip op) attr v
   | _ -> None
 
-(* AND leaf [l]'s verdict on rows [first, last) of [col] into [mask]:
-   one loop per leaf, its bounds in registers, the shadowed rows tested
-   without a branch; the row range is bounds-checked once, up front *)
-let mark_leaf col l mask first last =
+(* AND leaf [l]'s verdict on every row of [col] into [mask]: one loop
+   per leaf, its bounds in registers, the shadowed rows tested without a
+   branch; the lengths are checked once, up front *)
+let mark_leaf col l mask =
   let kind = col.col_kind and num = col.col_num in
-  if
-    first < 0
-    || last > Bytes.length kind
-    || last > Array.length num
-    || last > Bytes.length mask
-  then
+  let n = Bytes.length mask in
+  if n > Bytes.length kind || n > Array.length num then
     invalid_arg "Plan.mark_leaf";
   let lo = l.lf_lo and hi = l.lf_hi and neg = Bool.to_int l.lf_neg in
-  for i = first to last - 1 do
+  for i = 0 to n - 1 do
     let hit =
       if Bytes.unsafe_get kind i = k_num then
         let x = Array.unsafe_get num i in
@@ -935,7 +909,7 @@ type program = Kernel of leaf list | Closures of (cctx -> int -> Value.t)
 let scans = ref 0
 let compiled_scans () = !scans
 
-let try_scan store ~cls ~jobs expr =
+let try_scan store ~cls expr =
   if not (enabled ()) then None
   else if Store.read_hooks_installed store then begin
     (* hooks are the transaction layer's lock inheritance: they must
@@ -980,7 +954,7 @@ let try_scan store ~cls ~jobs expr =
                 Array.mapi
                   (fun i spec ->
                     let c, b =
-                      column_of store st reg ~cls ~spec members stamp ~jobs
+                      column_of store st reg ~cls ~spec members stamp
                     in
                     built.(i) <- b;
                     c)
@@ -992,26 +966,18 @@ let try_scan store ~cls ~jobs expr =
               else Array.of_list (Lazy.force members)
             in
             let n = Array.length marr in
-            (* the program marks passing rows of [first, last) in [mask];
-               the pool hands it one chunk of rows per call *)
+            (* the program clears the rows that fail in [mask] *)
             let mask = Bytes.make n '\001' in
-            let mark =
-              match program with
-              | Kernel leaves ->
-                  fun first last ->
-                    List.iter
-                      (fun l -> mark_leaf cols.(l.lf_slot) l mask first last)
-                      leaves
-              | Closures f ->
-                  let ctx = { cc_cols = cols } in
-                  fun first last ->
-                    for i = first to last - 1 do
-                      match f ctx i with
-                      | Value.Bool true -> ()
-                      | _ | (exception Row_error) -> Bytes.set mask i '\000'
-                    done
-            in
-            Pool.iter_range ~jobs n mark;
+            (match program with
+            | Kernel leaves ->
+                List.iter (fun l -> mark_leaf cols.(l.lf_slot) l mask) leaves
+            | Closures f ->
+                let ctx = { cc_cols = cols } in
+                for i = 0 to n - 1 do
+                  match f ctx i with
+                  | Value.Bool true -> ()
+                  | _ | (exception Row_error) -> Bytes.set mask i '\000'
+                done);
             let rows = ref [] in
             for i = n - 1 downto 0 do
               if Bytes.get mask i <> '\000' then rows := marr.(i) :: !rows
@@ -1148,6 +1114,8 @@ let check_column add store st reg schema cls col =
 let self_check store =
   match Store.plan_slot store with
   | Some (Slot st) -> (
+      (* the from-scratch fills consult the decision memo *)
+      Mutex.protect st.s_catchup @@ fun () ->
       let problems = ref [] in
       let add s = problems := s :: !problems in
       let report fmt = Printf.ksprintf add fmt in

@@ -31,8 +31,8 @@
        [exists], plus [in] over a path) materialize as
        interpreter-filled columns.}
     {- {b Materialized columns}: resolved values per (class, spec) — a
-       select over an inherited attribute becomes a tight array scan,
-       which parallelizes for real.  Each row records the resolution
+       select over an inherited attribute becomes a tight array scan.
+       Each row records the resolution
        chain it read.  A value write moves no chain, so on a
        single-attribute column it refreshes, without a walk, the rows
        whose chains end at the written owner (counted in
@@ -102,7 +102,7 @@ val configure_from_env :
 (** Strict [COMPO_NO_COMPILE] / [COMPO_NO_DELTA] validation for front
     ends: [1/true/yes] disables, [0/false/no] enables, unset is a
     no-op, anything else is an error message for a one-line die (the
-    [COMPO_JOBS] / [COMPO_TRACE_SAMPLE] convention). *)
+    [COMPO_TRACE_SAMPLE] convention). *)
 
 val set_dirty_threshold : float -> unit
 (** Dirty-fraction fallback knob: a column whose dirty rows exceed this
@@ -119,7 +119,6 @@ val set_compact_min : int -> unit
 val try_scan :
   Store.t ->
   cls:string ->
-  jobs:int ->
   Expr.t ->
   (Surrogate.t list * report, Errors.t) result option
 (** Compiled sequential-scan select over a class extent.  [None] means
@@ -128,8 +127,9 @@ val try_scan :
     [Some rows] are bit-identical — order and membership — to the
     interpreted scan's.  The class is checked with
     {!Store.class_member_type}; the extent list is copied only when a
-    column has to be built or realigned.  With [jobs > 1] the caller must hold the
-    store's read latch (same contract as {!Query.filter_candidates}). *)
+    column has to be built or realigned.  The caller holds the store's
+    read latch; concurrent readers take turns bringing the shared plan
+    state current. *)
 
 val compiled_scans : unit -> int
 (** Process-wide count of selects served by the compiled engine

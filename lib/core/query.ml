@@ -2,7 +2,6 @@ let ( let* ) = Result.bind
 
 module Obs = Compo_obs.Metrics
 module Trace = Compo_obs.Trace
-module Pool = Compo_par.Pool
 
 (* the one registration of the extent histogram (select counts live in
    the "query.select" span histogram); a compiled scan reports the size
@@ -14,41 +13,23 @@ let observe_extent members =
   if Obs.enabled () then
     Obs.observe h_extent (float_of_int (List.length members))
 
-(* parallel selects that found read hooks installed and ran sequentially *)
-let m_fallback = Obs.counter "par.select.fallback"
-
 let matching store ~self expr =
   match Eval.eval_bool (Eval.env ~self store) expr with
   | Ok b -> b
   | Error _ -> false
 
-let filter_candidates ?(jobs = 1) store where candidates =
+let filter_candidates store where candidates =
   match where with
   | None -> candidates
-  | Some pred ->
-      let keep s = matching store ~self:s pred in
-      if jobs <= 1 then List.filter keep candidates
-      else Pool.filter_list ~jobs keep candidates
-
-(* Must be called holding the read latch: hooks are only installed under
-   the write latch, so the answer cannot change while we hold it.  A
-   hook is arbitrary closure state (lock inheritance) and must fire on
-   the installing domain — with hooks present the select runs its
-   sequential plan under the same latch. *)
-let latched_jobs store jobs =
-  if jobs > 1 && Store.read_hooks_installed store then begin
-    Obs.incr m_fallback;
-    1
-  end
-  else jobs
+  | Some pred -> List.filter (fun s -> matching store ~self:s pred) candidates
 
 (* compiled engine first; [None] means it stands down (disabled, hooks,
    unknown class — the delta-maintained plan state makes this cheap to
    take even on write-heavy interleavings) *)
-let scan store ~cls ~jobs where =
+let scan store ~cls where =
   let compiled =
     match where with
-    | Some pred -> Plan.try_scan store ~cls ~jobs pred
+    | Some pred -> Plan.try_scan store ~cls pred
     | None -> None
   in
   match compiled with
@@ -59,27 +40,18 @@ let scan store ~cls ~jobs where =
   | None ->
       let* members = Store.class_members store cls in
       observe_extent members;
-      Ok (filter_candidates ~jobs store where members)
+      Ok (filter_candidates store where members)
 
-let select store ~cls ?jobs ?where () =
+let select store ~cls ?where () =
   Trace.with_span "query.select" ~attrs:[ ("cls", cls) ] @@ fun () ->
-  let jobs = Pool.effective_jobs jobs in
-  if jobs <= 1 then scan store ~cls ~jobs:1 where
-  else
-    Store.with_read_latch store @@ fun () ->
-    scan store ~cls ~jobs:(latched_jobs store jobs) where
+  Store.with_read_latch store @@ fun () -> scan store ~cls where
 
-let select_subobjects store ~parent ~subclass ?jobs ?where () =
+let select_subobjects store ~parent ~subclass ?where () =
   Trace.with_span "query.select" ~attrs:[ ("subclass", subclass) ] @@ fun () ->
-  let jobs = Pool.effective_jobs jobs in
-  let run jobs =
-    let* members = Inheritance.subclass_members store parent subclass in
-    observe_extent members;
-    Ok (filter_candidates ~jobs store where members)
-  in
-  if jobs <= 1 then run 1
-  else
-    Store.with_read_latch store @@ fun () -> run (latched_jobs store jobs)
+  Store.with_read_latch store @@ fun () ->
+  let* members = Inheritance.subclass_members store parent subclass in
+  observe_extent members;
+  Ok (filter_candidates store where members)
 
 let project store objects name =
   let rec go acc = function

@@ -9,7 +9,6 @@
 val select :
   Store.t ->
   cls:string ->
-  ?jobs:int ->
   ?where:Expr.t ->
   unit ->
   (Surrogate.t list, Errors.t) result
@@ -17,45 +16,33 @@ val select :
     which the predicate fails to evaluate is excluded (a design object with
     unbound components simply does not match).
 
-    [jobs] (default: the [COMPO_JOBS] environment variable, else 1)
-    evaluates the predicate on a pool of worker domains against a frozen
-    read snapshot — the store's read latch is held across the whole
-    fan-out.  The result is {e identical} to the sequential plan: rows,
-    order and resolved values are the same for every [jobs], which the
-    differential suite proves over randomized schemas.  With read hooks
-    installed (transactional lock inheritance) the select silently runs
-    its sequential plan and counts [par.select.fallback]. *)
+    The select runs on the calling domain and holds the store's read latch
+    for its whole duration, so a concurrent writer on another domain can
+    never show it a torn state. *)
 
 val select_subobjects :
   Store.t ->
   parent:Surrogate.t ->
   subclass:string ->
-  ?jobs:int ->
   ?where:Expr.t ->
   unit ->
   (Surrogate.t list, Errors.t) result
 (** Same over a (possibly inherited) subclass of a complex object. *)
 
 val filter_candidates :
-  ?jobs:int -> Store.t -> Expr.t option -> Surrogate.t list -> Surrogate.t list
+  Store.t -> Expr.t option -> Surrogate.t list -> Surrogate.t list
 (** The residual-filter stage of a select: keep the candidates matching
-    the predicate, preserving order ([List.filter] semantics whatever
-    [jobs] is).  Exposed for {!Database}'s planned selects, which run it
-    over an index-produced candidate list under their own latch. *)
+    the predicate, preserving order.  Exposed for {!Database}'s planned
+    selects, which run it over an index-produced candidate list under
+    their own latch. *)
 
 val scan :
-  Store.t -> cls:string -> jobs:int -> Expr.t option ->
+  Store.t -> cls:string -> Expr.t option ->
   (Surrogate.t list, Errors.t) result
 (** The unplanned access path of {!select} without its span or latch:
     the compiled engine ({!Plan.try_scan}) when it serves, else the
-    class extent filtered by the interpreter.  With [jobs > 1] the
-    caller must hold the store's read latch. *)
-
-val latched_jobs : Store.t -> int -> int
-(** Degrade a requested parallelism to 1 when read hooks are installed
-    (counting [par.select.fallback]).  Only meaningful while holding the
-    store's read latch — hooks are installed under the write latch, so
-    the answer is stable for the whole latched section. *)
+    class extent filtered by the interpreter.  The caller holds the
+    store's read latch. *)
 
 val project :
   Store.t -> Surrogate.t list -> string -> (Value.t list, Errors.t) result

@@ -51,11 +51,11 @@ type entry = { e_value : Value.t; e_gen : int; e_src : Surrogate.t }
    invalidations lost bumps and a racing fill could publish under a
    floor it never saw (the "global-generation read/write race").  The
    entry table is sharded per domain: each domain fills and sweeps only
-   its own hash table, so worker fills never contend and never corrupt
-   a shared table.  Source floors ([rc_floors]) are only written by
-   store mutators, which the store serialises against parallel readers
-   (its write latch), so a plain table read-only during parallel
-   sections is sound.  [clear] walks every shard and is likewise only
+   its own hash table, so fills on reader domains never contend and
+   never corrupt a shared table.  Source floors ([rc_floors]) are only
+   written by store mutators, which the store serialises against readers
+   (its write latch), so a plain table read-only during read sections
+   is sound.  [clear] walks every shard and is likewise only
    called from write-side paths. *)
 type t = {
   mutable rc_enabled : bool;

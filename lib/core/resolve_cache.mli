@@ -35,11 +35,11 @@
 
     Domain safety: the generation and global floor are atomics, and the
     entry table is sharded per domain (each domain fills, hits and
-    sweeps only its own shard), so parallel query workers resolve
-    concurrently without locks and a worker's fill can never publish a
-    stale value another domain's invalidation already killed.  Source
-    floors and {!clear} are write-side operations: the store serialises
-    them against parallel readers with its write latch.
+    sweeps only its own shard), so reader domains resolve concurrently
+    without locks and a reader's fill can never publish a stale value
+    another domain's invalidation already killed.  Source floors and
+    {!clear} are write-side operations: the store serialises them
+    against readers with its write latch.
 
     Observability: [inheritance.cache.{lookup,hit,miss}] and
     [inheritance.cache.invalidate.{scoped,global}] counters plus an
@@ -101,7 +101,7 @@ val capacity : t -> int
 val lookups : unit -> int
 (** Process-wide lookup count ([find] calls on an enabled cache); every
     lookup is counted exactly once as a hit or a miss, so
-    [lookups () = hits () + misses ()] even under parallel load — the
+    [lookups () = hits () + misses ()] even under concurrent load — the
     stress suite asserts this. *)
 
 val hits : unit -> int

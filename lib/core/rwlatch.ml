@@ -1,14 +1,15 @@
 (* A read/write latch with writer reentrancy and writer preference.
 
-   Parallel selects hold the latch in read mode for the whole fan-out
-   (access stage + chunked residual evaluation), so every worker sees
-   one point-in-time store state; every store mutator holds it in
-   write mode.  The writer side is reentrant per domain, because store
-   mutators nest (delete cascades through remove_inheritance_link and
-   itself, transactions wrap mutators in hook installation).  Writer
-   preference keeps a steady stream of parallel readers from starving
-   the writer; the price is that read sections must not nest — nothing
-   in the kernel nests them (workers never touch the latch at all).
+   Every select holds the latch in read mode for its whole run
+   (planning, access stage, filter), so it sees one point-in-time store
+   state even with a writer on another domain; every store mutator
+   holds it in write mode.  The writer side is reentrant per domain,
+   because store mutators nest (delete cascades through
+   remove_inheritance_link and itself, transactions wrap mutators in
+   hook installation).  Writer preference keeps a steady stream of
+   readers on other domains from starving the writer; the price is that
+   read sections must not nest — nothing in the kernel nests them (a
+   select takes exactly one).
 
    Reads of [writer] outside the mutex are only ever compared against
    the caller's own domain id: [Some self] can only have been written

@@ -1,11 +1,9 @@
-(** Read/write latch for parallel selects against a mutable store.
+(** Read/write latch for selects against a mutable store.
 
     Write mode is exclusive and reentrant per domain (store mutators
     nest); read mode is shared among domains.  Writers are preferred
     over new readers, so read sections must not nest — the kernel's
-    single read section per select guarantees this, and worker domains
-    never take the latch at all (the submitting domain holds it across
-    the whole fan-out).
+    single read section per select guarantees this.
 
     While metrics are enabled, the slow paths profile themselves into
     the [latch.{write,read}.{wait,hold}_seconds] histogram families —

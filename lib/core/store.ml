@@ -77,7 +77,7 @@ type t = {
      participant, for referential integrity on delete *)
   referrer_index : Surrogate.t list Surrogate.Tbl.t;
   cache : Resolve_cache.t;  (* memoised inherited-attribute resolutions *)
-  latch : Rwlatch.t;  (* writers exclusive vs parallel-select readers *)
+  latch : Rwlatch.t;  (* writers exclusive vs select readers *)
   mutable read_hooks : (int * (Surrogate.t -> unit)) list;
   mutable write_hooks : (int * (Surrogate.t -> unit)) list;
   mutable next_hook : int;
@@ -155,10 +155,10 @@ let changes_since t since =
            t.change_log.((since + 1 + i) mod change_log_cap)))
 
 (* ------------------------------------------------------------------ *)
-(* Latching: every mutator below runs [exclusively]; a parallel select
-   holds [with_read_latch] across its whole fan-out, so its workers see
-   one frozen store state.  Purely sequential use never contends: the
-   write side is reentrant and uncontended lock/unlock is cheap. *)
+(* Latching: every mutator below runs [exclusively]; a select holds
+   [with_read_latch] for its whole run, so it sees one frozen store
+   state.  Single-domain use never contends: the write side is
+   reentrant and uncontended lock/unlock is cheap. *)
 
 let exclusively t f = Rwlatch.with_write t.latch f
 let with_read_latch t f = Rwlatch.with_read t.latch f

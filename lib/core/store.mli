@@ -108,18 +108,18 @@ val set_plan_slot : t -> plan_slot -> unit
 (** {1 Latching}
 
     Every mutator of this module runs under the store's write latch; a
-    parallel select ({!Query.select} / {!Database.select} with
-    [jobs > 1]) holds the read side across its whole fan-out, so worker
-    domains evaluate against a frozen point-in-time state.  Sequential
-    code never notices: the write side is reentrant per domain and
+    select ({!Query.select} / {!Database.select}) holds the read side
+    for its whole run, so it evaluates against a frozen point-in-time
+    state even with a writer on another domain.  Single-domain code
+    never notices: the write side is reentrant per domain and
     uncontended acquisition is cheap. *)
 
 val exclusively : t -> (unit -> 'a) -> 'a
 (** Run [f] holding the write latch: excluded against every mutator and
-    every parallel select on other domains.  Reentrant — mutators called
-    inside [f] re-enter.  Use it to make a multi-operation batch (e.g. a
-    transaction body plus its commit) atomic with respect to parallel
-    readers. *)
+    every select on other domains.  Reentrant — mutators called inside
+    [f] re-enter.  Use it to make a multi-operation batch (e.g. a
+    transaction body plus its commit) atomic with respect to readers on
+    other domains. *)
 
 val with_read_latch : t -> (unit -> 'a) -> 'a
 (** Run [f] holding the read latch: shared with other readers, excluded
@@ -174,11 +174,10 @@ val add_write_hook : t -> (Surrogate.t -> unit) -> hook_id
 val remove_hook : t -> hook_id -> unit
 
 val read_hooks_installed : t -> bool
-(** Whether any read hook is currently installed.  Parallel selects
-    check this after acquiring the read latch and fall back to a
-    sequential filter when hooks are present: a hook is arbitrary
-    closure state (the transaction layer's lock inheritance) and must
-    not be invoked from worker domains. *)
+(** Whether any read hook is currently installed.  The compiled engine
+    stands down while hooks are present: a hook is the transaction
+    layer's lock inheritance, which must fire per transmitter hop, and a
+    column scan performs no hops. *)
 
 val notify_read : t -> Surrogate.t -> unit
 

@@ -24,9 +24,8 @@ let session_id c = c.sid
 let server_version c = c.server_version
 let last_trace c = c.last_trace
 
-(* strict, per the front-end convention (Pool.parse_jobs): a garbage
-   sampling rate dies with one line at the entry points, never a silent
-   fallback *)
+(* strict: a garbage sampling rate dies with one line at the entry
+   points, never a silent fallback *)
 let parse_trace_sample raw =
   let raw = String.trim raw in
   match float_of_string_opt raw with
@@ -157,8 +156,8 @@ let get_attr c obj attr =
 
 let set_attr c obj attr value = expect_unit c (P.Set_attr { obj; attr; value })
 
-let select c ~cls ?jobs ?where () =
-  let* resp = rpc c (P.Select { cls; where; jobs }) in
+let select c ~cls ?where () =
+  let* resp = rpc c (P.Select { cls; where; jobs = None }) in
   match resp with P.Ok_rows rows -> Ok rows | other -> unexpected other
 
 let explain c ~cls ?where () =

@@ -43,7 +43,7 @@ val last_trace : t -> string option
 
 val parse_trace_sample : string -> (float, string) result
 (** Strict sampling-rate validation: a float in [0,1], one-line error
-    otherwise (the [Pool.parse_jobs] convention). *)
+    otherwise. *)
 
 val trace_sample_from_env :
   ?getenv:(string -> string option) -> unit -> (float, string) result
@@ -63,7 +63,7 @@ val get_attr : t -> Surrogate.t -> string -> (Value.t, error) result
 val set_attr : t -> Surrogate.t -> string -> Value.t -> (unit, error) result
 
 val select :
-  t -> cls:string -> ?jobs:int -> ?where:Expr.t -> unit ->
+  t -> cls:string -> ?where:Expr.t -> unit ->
   (Surrogate.t list, error) result
 
 val explain : t -> cls:string -> ?where:Expr.t -> unit -> (string, error) result

@@ -56,6 +56,9 @@ type request =
   | Get_attr of { obj : Surrogate.t; attr : string }
   | Set_attr of { obj : Surrogate.t; attr : string; value : Value.t }
   | Select of { cls : string; where : Expr.t option; jobs : int option }
+      (** [jobs] is a retired parallelism hint, kept for wire
+          compatibility: the server rejects [Some j] with [j < 1] and
+          otherwise ignores it. *)
   | Explain of { cls : string; where : Expr.t option }
   | Stats of stats_format
   | Slowlog

@@ -317,12 +317,14 @@ let handle t s (trace : P.trace_ctx option) (req : P.request) : P.response =
           in
           match result with Ok () -> P.Ok_unit | Error e -> app_error e)
   | P.Select { cls; where; jobs } -> (
+      (* [jobs] is a retired parallelism hint: still validated as outside
+         input, otherwise ignored *)
       match jobs with
       | Some j when j < 1 ->
           P.App_error (Printf.sprintf "jobs must be a positive integer (got %d)" j)
       | _ ->
           gate (fun () ->
-              match Database.select t.db ~cls ?where ?jobs () with
+              match Database.select t.db ~cls ?where () with
               | Ok rows -> P.Ok_rows rows
               | Error e -> app_error e))
   | P.Explain { cls; where } ->

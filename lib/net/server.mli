@@ -12,8 +12,7 @@
     latch is reentrant {e per domain}, and systhreads share their
     domain's id, so unguarded concurrent kernel calls from sibling
     threads would alias each other's latch ownership — the gate is the
-    correctness boundary, and intra-query parallelism still happens
-    inside it via [select ?jobs] domain fan-out.  Lock conflicts do not
+    correctness boundary.  Lock conflicts do not
     block (the manager fails conflicting acquisitions immediately), so a
     session never holds the gate waiting on another session.
 

@@ -63,9 +63,8 @@ let recent () =
 (* ------------------------------------------------------------------ *)
 (* Environment configuration                                           *)
 
-(* strict, per the front-end convention (Pool.parse_jobs): a garbage
-   capacity is a user error that dies with one line, never a silent
-   fallback to the default *)
+(* strict: a garbage capacity is a user error that dies with one line,
+   never a silent fallback to the default *)
 let parse_capacity raw =
   let raw = String.trim raw in
   match int_of_string_opt raw with

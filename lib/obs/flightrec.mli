@@ -41,7 +41,7 @@ val clear : unit -> unit
 
 val parse_capacity : string -> (int, string) result
 (** Strict capacity validation: positive integers only, one-line error
-    otherwise (the [Pool.parse_jobs] convention). *)
+    otherwise. *)
 
 val configure_from_env :
   ?getenv:(string -> string option) -> unit -> (unit, string) result

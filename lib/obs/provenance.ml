@@ -45,8 +45,8 @@ let on = ref false
    main domain), but every kernel entry there is serialised through one
    gate mutex — so a domain whose kernel calls are externally
    serialised may be granted recording.  The permit is domain-local:
-   pool worker domains keep the default [false] and still resolve
-   through the plain path. *)
+   other domains keep the default [false] and still resolve through the
+   plain path. *)
 let permit_key = Domain.DLS.new_key (fun () -> false)
 let permit_domain () = Domain.DLS.set permit_key true
 

@@ -70,9 +70,9 @@ val source_of : read -> string option
 val enabled : unit -> bool
 (** [true] only when recording is switched on {e and} the caller may
     record: the main domain always may; other domains only after
-    {!permit_domain}.  The collector is a single global slot, so worker
-    domains never record — parallel query workers resolve through the
-    plain path instead. *)
+    {!permit_domain}.  The collector is a single global slot, so other
+    domains never record — they resolve through the plain path
+    instead. *)
 
 val enable : unit -> unit
 val disable : unit -> unit
@@ -81,7 +81,8 @@ val permit_domain : unit -> unit
 (** Grant the calling domain recording rights.  Only sound when every
     kernel entry from that domain is externally serialised — the
     network server does this, because all its handler threads funnel
-    through one gate mutex; never call it from pool worker domains. *)
+    through one gate mutex; never call it from a domain whose kernel
+    calls run concurrently with another's. *)
 
 val configure_from_env : ?getenv:(string -> string option) -> unit -> unit
 (** [COMPO_PROVENANCE=1|true|yes] enables the collector.  Entry points

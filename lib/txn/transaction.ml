@@ -157,8 +157,8 @@ let acquire_hier mg txn s mode =
    of inherited data notify per transmitter hop, which is exactly the
    paper's lock inheritance.  The whole window — install, operate,
    remove — runs under the store's write latch: hooks are process-wide
-   store state, and a parallel select latching in mid-window would see
-   them (and would have to fall back to a sequential plan for nothing). *)
+   store state, and a select on another domain latching in mid-window
+   would fire them (taking locks for a transaction it is not part of). *)
 let with_lock_hooks mg txn f =
   Store.exclusively mg.mg_store @@ fun () ->
   let rh =

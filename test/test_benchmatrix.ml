@@ -13,48 +13,39 @@ module J = Compo_obs.Json_min
 
 let test_default_cells () =
   let cells = Cell.default_cells () in
-  check_bool "at least 26 cells" true (List.length cells >= 26);
+  check_bool "at least 18 cells" true (List.length cells >= 18);
   let ids = List.map Cell.id cells in
   let uniq = List.sort_uniq String.compare ids in
   check_int "ids are unique" (List.length cells) (List.length uniq);
   (* every cell binds every canonical axis, in canonical order *)
   List.iter
     (fun c ->
-      check_int "seven axes" 7 (List.length (Cell.axes c));
+      check_int "six axes" 6 (List.length (Cell.axes c));
       check_string "canonical axis order"
-        "cache index compile delta jobs prov fp"
+        "cache index compile delta prov fp"
         (String.concat " " (List.map fst (Cell.axes c))))
     cells;
   (* the curated blocks are all present *)
   let mem id = List.mem id ids in
   check_bool "baseline cell" true
-    (mem "cache=on index=on compile=on delta=on jobs=1 prov=off fp=off");
+    (mem "cache=on index=on compile=on delta=on prov=off fp=off");
   check_bool "full-ablation corner" true
-    (mem "cache=off index=off compile=off delta=on jobs=1 prov=on fp=off");
-  check_bool "4-job cell" true
-    (mem "cache=on index=on compile=on delta=on jobs=4 prov=off fp=off");
-  check_bool "4-job interpreted cell" true
-    (mem "cache=on index=on compile=off delta=on jobs=4 prov=off fp=off");
+    (mem "cache=off index=off compile=off delta=on prov=on fp=off");
   check_bool "armed-failpoint flip" true
-    (mem "cache=on index=on compile=on delta=on jobs=1 prov=off fp=armed");
+    (mem "cache=on index=on compile=on delta=on prov=off fp=armed");
   check_bool "delta-off flip" true
-    (mem "cache=on index=on compile=on delta=off jobs=1 prov=off fp=off");
-  check_bool "4-job delta-off flip" true
-    (mem "cache=on index=on compile=on delta=off jobs=4 prov=off fp=off")
+    (mem "cache=on index=on compile=on delta=off prov=off fp=off")
 
 let test_env_rendering () =
   let env pairs = Cell.env (Cell.make pairs) in
   let baseline =
     [ ("cache", "on"); ("index", "on"); ("compile", "on"); ("delta", "on");
-      ("jobs", "1"); ("prov", "off"); ("fp", "off") ]
+      ("prov", "off"); ("fp", "off") ]
   in
-  (* default values emit nothing except COMPO_JOBS, which is always
-     explicit so a cell never inherits the caller's job count *)
-  check_bool "baseline renders only COMPO_JOBS" true
-    (env baseline = [ ("COMPO_JOBS", "1") ]);
+  check_bool "baseline renders nothing" true (env baseline = []);
   let flipped =
     [ ("cache", "off"); ("index", "off"); ("compile", "off");
-      ("delta", "off"); ("jobs", "4"); ("prov", "on"); ("fp", "armed") ]
+      ("delta", "off"); ("prov", "on"); ("fp", "armed") ]
   in
   check_bool "every non-default value emits its switch" true
     (env flipped
@@ -63,7 +54,6 @@ let test_env_rendering () =
         ("COMPO_NO_INDEX", "1");
         ("COMPO_NO_COMPILE", "1");
         ("COMPO_NO_DELTA", "1");
-        ("COMPO_JOBS", "4");
         ("COMPO_PROVENANCE", "1");
         ("COMPO_FAILPOINTS", Cell.failpoint_spec);
       ]);
@@ -71,12 +61,6 @@ let test_env_rendering () =
   check_string "id is order-independent"
     (Cell.id (Cell.make baseline))
     (Cell.id (Cell.make (List.rev baseline)))
-
-let test_required_cores () =
-  let cores pairs = Cell.required_cores (Cell.make pairs) in
-  check_int "jobs=1 needs 1 core" 1 (cores [ ("jobs", "1") ]);
-  check_int "jobs=4 needs 4 cores" 4 (cores [ ("jobs", "4") ]);
-  check_int "no jobs axis defaults to 1" 1 (cores [ ("cache", "off") ])
 
 let test_product_and_dedup () =
   let axes =
@@ -109,8 +93,8 @@ let matrix rows =
   { Report.m_smoke = true; m_cores = 1; m_suite = [ "E2"; "E15" ]; m_rows = rows }
 
 let baseline_pairs =
-  [ ("cache", "on"); ("index", "on"); ("compile", "on"); ("jobs", "1");
-    ("prov", "off"); ("fp", "off") ]
+  [ ("cache", "on"); ("index", "on"); ("compile", "on"); ("prov", "off");
+    ("fp", "off") ]
 
 let with_axis axis v =
   List.map (fun (a, w) -> if a = axis then (a, v) else (a, w)) baseline_pairs
@@ -121,7 +105,7 @@ let test_report_roundtrip () =
       [
         row baseline_pairs ~wall:0.75
           ~metrics:[ ("e15.min_speedup", 2.5); ("eval.node", 123456.0) ];
-        row (with_axis "jobs" "4")
+        row (with_axis "compile" "off")
           ~outcome:(Report.Skipped "cell needs 4 cores, runner has 1")
           ~wall:Float.nan;
         row (with_axis "prov" "on")
@@ -146,12 +130,12 @@ let test_report_roundtrip () =
             | Some r -> r
             | None -> Alcotest.failf "row %S lost in round-trip" id
           in
-          let ok_row = get "cache=on index=on compile=on jobs=1 prov=off fp=off" in
+          let ok_row = get "cache=on index=on compile=on prov=off fp=off" in
           check_bool "metrics survive" true
             (ok_row.Report.r_metrics
             = [ ("e15.min_speedup", 2.5); ("eval.node", 123456.0) ]);
           check_bool "wall survives" true (ok_row.Report.r_wall_s = 0.75);
-          let skip_row = get "cache=on index=on compile=on jobs=4 prov=off fp=off" in
+          let skip_row = get "cache=on index=on compile=off prov=off fp=off" in
           (match skip_row.Report.r_outcome with
           | Report.Skipped reason ->
               check_string "skip reason survives"
@@ -159,7 +143,7 @@ let test_report_roundtrip () =
           | _ -> Alcotest.fail "skip outcome lost");
           check_bool "skipped wall reads back as nan" true
             (Float.is_nan skip_row.Report.r_wall_s);
-          match (get "cache=on index=on compile=on jobs=1 prov=on fp=off").Report.r_outcome with
+          match (get "cache=on index=on compile=on prov=on fp=off").Report.r_outcome with
           | Report.Failed reason ->
               check_string "failure detail survives escaping"
                 "exit 2: boom \"quoted\"" reason
@@ -346,7 +330,6 @@ let suite =
         test_default_cells;
       case "env rendering realises exactly the non-default axes"
         test_env_rendering;
-      case "required cores follow the jobs axis" test_required_cores;
       case "axis product and id dedup" test_product_and_dedup;
       case "BENCH_matrix.json round-trips outcomes, reasons and nan"
         test_report_roundtrip;

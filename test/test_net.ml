@@ -149,6 +149,40 @@ let test_pipelining () =
         ids;
       Client.close c)
 
+(* the wire Select keeps its [jobs] field as a hint the server ignores:
+   a positive value selects what [None] selects, a non-positive one is
+   an application error that leaves the session usable *)
+let test_select_jobs_hint () =
+  with_server (fun _srv path _db _impls ->
+      let c = cok (Client.connect path) in
+      let where = Some Expr.(path [ "Length" ] >= int 0) in
+      let select jobs =
+        let sent =
+          cok (Client.send c (P.Select { cls = "Implementations"; where; jobs }))
+        in
+        let id, resp = cok (Client.recv c) in
+        Alcotest.(check int) "response matches request" sent id;
+        resp
+      in
+      let rows = function
+        | P.Ok_rows rows -> List.map Surrogate.to_int rows
+        | _ -> Alcotest.fail "expected Ok_rows"
+      in
+      let plain = rows (select None) in
+      Alcotest.(check bool) "the select matches rows" true (plain <> []);
+      Alcotest.(check (list int)) "jobs = Some 4 selects the same rows" plain
+        (rows (select (Some 4)));
+      (match select (Some 0) with
+      | P.App_error msg ->
+          Alcotest.(check bool)
+            "names the bad hint" true
+            (String.starts_with ~prefix:"jobs must be a positive integer" msg)
+      | _ -> Alcotest.fail "jobs = Some 0 must be an App_error");
+      Alcotest.(check (list int)) "the session is still usable" plain
+        (rows (select None));
+      cok (Client.ping c);
+      Client.close c)
+
 (* raw-socket helpers for the malformed-input tests *)
 let raw_connect path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -368,6 +402,7 @@ let suite =
       Alcotest.test_case "lock conflict between sessions" `Quick
         test_lock_conflict_between_sessions;
       Alcotest.test_case "pipelining" `Quick test_pipelining;
+      Alcotest.test_case "select jobs hint" `Quick test_select_jobs_hint;
       Alcotest.test_case "version mismatch rejected" `Quick
         test_version_mismatch_rejected;
       Alcotest.test_case "garbage frame rejected" `Quick

@@ -1,10 +1,9 @@
 (* Differential oracle for the query engines: over randomized schemas,
-   populations and predicates, three runs of the same select must return
+   populations and predicates, two runs of the same select must return
    exactly the same thing — same rows, same order, same resolved values:
 
-     interpreted         Plan disabled, jobs = 1   (the reference)
-     compiled            Plan enabled,  jobs = 1
-     parallel compiled   Plan enabled,  jobs = 4
+     interpreted   Plan disabled   (the reference)
+     compiled      Plan enabled
 
    The generator is a hand-rolled splittable PRNG (never
    [Random.self_init]), so every run replays the same 200+ seeds and a
@@ -393,19 +392,18 @@ let check_round seed =
   let depth = ok (random_schema r db) in
   let (_ : int * Surrogate.t list array) = ok (random_population r db ~depth) in
   (* half the seeds register an index on Local, covering the planned
-     (index access + parallel residual) path as well as the scan path *)
+     (index access + residual filter) path as well as the scan path *)
   if rand r 2 = 0 then ok (Database.create_index db ~cls:"Pop" ~attr:"Local");
   let src = random_pred r 3 in
   let where = Some (ok (Compo_ddl.Parser.parse_expr src)) in
   let plan0 = Plan.enabled () in
   Fun.protect ~finally:(fun () -> Plan.set_enabled plan0) @@ fun () ->
-  let run_with enabled jobs =
+  let run_with enabled =
     Plan.set_enabled enabled;
-    ok (Database.select db ~cls:"Pop" ~jobs ?where ())
+    ok (Database.select db ~cls:"Pop" ?where ())
   in
-  let interp = run_with false 1 in
-  let seq = run_with true 1 in
-  let par = run_with true 4 in
+  let interp = run_with false in
+  let compiled = run_with true in
   let diff label a b =
     if not (List.equal Surrogate.equal a b) then
       Alcotest.failf
@@ -420,8 +418,7 @@ let check_round seed =
         (String.concat ", " (List.map Surrogate.to_string b))
         (explain_both db ~cls:"Pop" where)
   in
-  diff "interpreted vs compiled" interp seq;
-  diff "compiled vs parallel-compiled" seq par;
+  diff "interpreted vs compiled" interp compiled;
   (* same rows in the same order; now the same resolved values *)
   List.iter
     (fun attr ->
@@ -433,8 +430,7 @@ let check_round seed =
             | Error e -> "!" ^ Errors.to_string e)
           rows
       in
-      let vi = project interp and vs = project seq and vp = project par in
-      if vi <> vs || vs <> vp then
+      if project interp <> project compiled then
         Alcotest.failf "seed %d: resolved %s values differ for %s" seed attr
           src)
     [ "A"; "B"; "Local" ]
@@ -452,40 +448,35 @@ let test_differential () =
 
 (* ------------------------------------------------------------------ *)
 (* Mutation-interleaved torture: one database per seed stays alive for
-   ten rounds of (mutation batch; 3-way check), so from round two
-   onward the compiled engines run on delta-maintained plan state.  30
+   ten rounds of (mutation batch; 2-way check), so from round two
+   onward the compiled engine runs on delta-maintained plan state.  30
    seeds x 10 rounds = 300 mutating rounds.  The per-round check is the
-   same 3-way diff as above, but over the widened predicate pool
+   same 2-way diff as above, but over the widened predicate pool
    (multi-segment paths, quantifiers); a failure reports the seed, the
    predicate and the full mutation script executed so far. *)
 
-(* interpreted == compiled == parallel-compiled for one predicate; a
-   divergence reports the seed, the round and the mutation script *)
-let check_three_way ~seed ~round ~script db src =
+(* interpreted == compiled for one predicate; a divergence reports the
+   seed, the round and the mutation script *)
+let check_two_way ~seed ~round ~script db src =
   let where = Some (ok (Compo_ddl.Parser.parse_expr src)) in
-  let run_with enabled jobs =
+  let run_with enabled =
     Plan.set_enabled enabled;
-    ok (Database.select db ~cls:"Pop" ~jobs ?where ())
+    ok (Database.select db ~cls:"Pop" ?where ())
   in
-  let interp = run_with false 1 in
-  let seq = run_with true 1 in
-  let par = run_with true 4 in
-  let diff label a b =
-    if not (List.equal Surrogate.equal a b) then
-      Alcotest.failf
-        "seed %d round %s: %s rows differ for %s\n\
-         reference: %d row(s) [%s]\n\
-         other:     %d row(s) [%s]\n\
-         mutation script so far:\n\
-         %s"
-        seed round label src (List.length a)
-        (String.concat ", " (List.map Surrogate.to_string a))
-        (List.length b)
-        (String.concat ", " (List.map Surrogate.to_string b))
-        (Buffer.contents script)
-  in
-  diff "interpreted vs compiled" interp seq;
-  diff "compiled vs parallel-compiled" seq par
+  let interp = run_with false in
+  let compiled = run_with true in
+  if not (List.equal Surrogate.equal interp compiled) then
+    Alcotest.failf
+      "seed %d round %s: interpreted vs compiled rows differ for %s\n\
+       reference: %d row(s) [%s]\n\
+       other:     %d row(s) [%s]\n\
+       mutation script so far:\n\
+       %s"
+      seed round src (List.length interp)
+      (String.concat ", " (List.map Surrogate.to_string interp))
+      (List.length compiled)
+      (String.concat ", " (List.map Surrogate.to_string compiled))
+      (Buffer.contents script)
 
 (* one live database per seed: a population with its P references
    seeded so multi-segment predicates resolve *)
@@ -511,7 +502,7 @@ let check_mutation_seed seed =
     for _ = 0 to 2 + rand r 4 do
       random_mutation r db levels script
     done;
-    check_three_way ~seed ~round:(string_of_int round) ~script db
+    check_two_way ~seed ~round:(string_of_int round) ~script db
       (random_pred_wide r 2)
   done
 
@@ -527,7 +518,7 @@ let test_mutation_interleaved () =
 (* ------------------------------------------------------------------ *)
 (* Transactional rounds: the same mutation engine, run inside one
    [Transaction] per round (attribute writes, unbind/rebind, creates),
-   committed or — one round in three — aborted.  The 3-way check and
+   committed or — one round in three — aborted.  The 2-way check and
    [Plan.self_check] run with the transaction still open and again after
    it ends, so the delta path carries the plan state onto the uncommitted
    state and back off it through the undo's change records.  20 seeds x
@@ -542,7 +533,7 @@ let check_txn_seed seed =
   let plan0 = Plan.enabled () in
   Fun.protect ~finally:(fun () -> Plan.set_enabled plan0) @@ fun () ->
   let check round =
-    check_three_way ~seed ~round ~script db (random_pred_wide r 2);
+    check_two_way ~seed ~round ~script db (random_pred_wide r 2);
     match Plan.self_check (Database.store db) with
     | [] -> ()
     | problems ->
@@ -585,8 +576,10 @@ let test_txn_interleaved () =
     (Plan.compiled_scans () > scans0)
 
 (* The unplanned scan path through Query.select directly (no Database
-   planner in the way), including subclass-free stores. *)
+   planner in the way): interpreted == compiled. *)
 let test_query_select_direct () =
+  let plan0 = Plan.enabled () in
+  Fun.protect ~finally:(fun () -> Plan.set_enabled plan0) @@ fun () ->
   for seed = 1000 to 1019 do
     let r = make_rng seed in
     let db = Database.create () in
@@ -597,28 +590,40 @@ let test_query_select_direct () =
     let src = random_pred r 3 in
     let where = ok (Compo_ddl.Parser.parse_expr src) in
     let store = Database.store db in
-    let seq = ok (Query.select store ~cls:"Pop" ~jobs:1 ~where ()) in
-    let par = ok (Query.select store ~cls:"Pop" ~jobs:4 ~where ()) in
-    if not (List.equal Surrogate.equal seq par) then
+    let run_with enabled =
+      Plan.set_enabled enabled;
+      ok (Query.select store ~cls:"Pop" ~where ())
+    in
+    let interp = run_with false in
+    let compiled = run_with true in
+    if not (List.equal Surrogate.equal interp compiled) then
       Alcotest.failf "seed %d: Query.select rows differ for %s" seed src
   done
 
-(* Degenerate shapes stay identical too: empty extent, empty predicate,
-   jobs exceeding the extent, jobs = max. *)
+(* Degenerate shapes: an empty extent selects nothing under either
+   engine, and no predicate returns the whole extent in class order. *)
 let test_edges () =
   let db = Database.create () in
   let r = make_rng 424242 in
   let depth = ok (random_schema r db) in
-  let empty = ok (Database.select db ~cls:"Pop" ~jobs:4 ()) in
-  check_int "empty extent" 0 (List.length empty);
+  let where = ok (Compo_ddl.Parser.parse_expr "Local >= 0") in
+  let plan0 = Plan.enabled () in
+  Fun.protect ~finally:(fun () -> Plan.set_enabled plan0) @@ fun () ->
+  List.iter
+    (fun enabled ->
+      Plan.set_enabled enabled;
+      check_int "empty extent" 0
+        (List.length (ok (Database.select db ~cls:"Pop" ~where ()))))
+    [ false; true ];
+  check_int "empty extent, no predicate" 0
+    (List.length (ok (Database.select db ~cls:"Pop" ())));
   let (_ : int * Surrogate.t list array) =
     ok (random_population r db ~depth)
   in
-  let all_seq = ok (Database.select db ~cls:"Pop" ~jobs:1 ()) in
-  let all_par = ok (Database.select db ~cls:"Pop" ~jobs:64 ()) in
-  Alcotest.(check bool)
-    "no predicate, jobs=64" true
-    (List.equal Surrogate.equal all_seq all_par)
+  Alcotest.(check (list surrogate))
+    "no predicate: the extent"
+    (ok (Store.class_members (Database.store db) "Pop"))
+    (ok (Database.select db ~cls:"Pop" ()))
 
 (* ------------------------------------------------------------------ *)
 (* The numeric kernel's seams.  A comparison of one attribute with a
@@ -630,7 +635,7 @@ let test_edges () =
    without the attribute and from unbound chain ends, NaN, infinities
    and -0.0, Int values past 2^53 where int and float order disagree,
    and constants of both domains on either side of the operator.  Every
-   round runs the 3-way check after a mutation batch, then
+   round runs the 2-way check after a mutation batch, then
    [Plan.self_check], which compares each shadow with its boxed cells. *)
 
 let num_ty k = "N" ^ string_of_int k
@@ -777,26 +782,21 @@ let check_numeric_seed seed =
     done;
     let where = random_conjunction r in
     let src = Expr.to_string where in
-    let run_with enabled jobs =
+    let run_with enabled =
       Plan.set_enabled enabled;
-      ok (Database.select db ~cls:"Num" ~jobs ~where ())
+      ok (Database.select db ~cls:"Num" ~where ())
     in
-    let interp = run_with false 1 in
-    let seq = run_with true 1 in
-    let par = run_with true 4 in
-    let diff label a b =
-      if not (List.equal Surrogate.equal a b) then
-        Alcotest.failf
-          "seed %d round %d: %s rows differ for %s\n\
-           reference: %d row(s)\n\
-           other:     %d row(s)\n\
-           plan:\n\
-           %s"
-          seed round label src (List.length a) (List.length b)
-          (explain_both db ~cls:"Num" (Some where))
-    in
-    diff "interpreted vs compiled" interp seq;
-    diff "compiled vs parallel-compiled" seq par;
+    let interp = run_with false in
+    let compiled = run_with true in
+    if not (List.equal Surrogate.equal interp compiled) then
+      Alcotest.failf
+        "seed %d round %d: interpreted vs compiled rows differ for %s\n\
+         reference: %d row(s)\n\
+         other:     %d row(s)\n\
+         plan:\n\
+         %s"
+        seed round src (List.length interp) (List.length compiled)
+        (explain_both db ~cls:"Num" (Some where));
     (match Database.explain_select db ~cls:"Num" ~where () with
     | Ok (_, { Query.ex_plan = Some rp; _ }) when rp.Plan.rp_kernel > 0 ->
         incr kernel_rounds
@@ -860,9 +860,7 @@ let test_kernel_past_2_53 () =
 let suite =
   ( "par-diff",
     [
-      case
-        "interpreted == compiled == parallel-compiled over 220 random rounds"
-        test_differential;
+      case "interpreted == compiled over random rounds (220)" test_differential;
       case
         "mutation-interleaved: 300 rounds of deltas under the same oracle"
         test_mutation_interleaved;

@@ -1,13 +1,13 @@
-(* Parallel-select stress driver: make stress-check.
+(* Reader/writer stress driver: make stress-check.
 
-   Four reader domains hammer parallel selects while the main domain
+   Four reader domains hammer selects while the main domain
    commits and aborts interleaved write batches.  The writer keeps one
    invariant at all times: inside every exclusive section it sets [A]
    and [B] of each root to the same value, so ANY consistent snapshot
    satisfies A = B on every object — a root reads its own attributes,
    a bound inheritor resolves both across the same transmitter chain.
    A reader therefore proves snapshot isolation by selecting with
-   [A <> B] under [~jobs] and requiring zero rows: a torn read (A from
+   [A <> B] and requiring zero rows: a torn read (A from
    write N, B from write N-1, or a half-applied abort) is exactly a
    row in that select.
 
@@ -24,7 +24,7 @@
    On top of the isolation oracle the run checks the concurrent
    bookkeeping stays exact: the resolve cache must account every
    lookup as a hit or a miss even while writer invalidations race
-   worker fills, and the store invariants must hold afterwards.
+   reader fills, and the store invariants must hold afterwards.
    Exits non-zero on any violation. *)
 
 open Compo_core
@@ -145,9 +145,7 @@ let () =
   let reader d =
     let bad = ref 0 in
     while not (Atomic.get stop) do
-      (* readers disagree on the fan-out width on purpose *)
-      let jobs = 2 + (d mod 2) in
-      match Database.select db ~cls:"Pop" ~jobs ~where:torn () with
+      match Database.select db ~cls:"Pop" ~where:torn () with
       | Ok [] -> Atomic.incr selects
       | Ok rows ->
           incr bad;
@@ -227,7 +225,7 @@ let () =
   if refreshed = 0 then failf "no catch-up refreshed a written value";
   if rewalked = 0 then failf "no catch-up re-walked a re-pointed chain";
   Printf.printf
-    "stress: %d writer round(s), %d clean parallel select(s), %d delta \
+    "stress: %d writer round(s), %d clean select(s), %d delta \
      catch-up(s) (%d cell(s) refreshed, %d re-walked), %d lookups = %d hits \
      + %d misses, %d failure(s)\n"
     !rounds (Atomic.get selects) applies refreshed rewalked lookups hits misses
