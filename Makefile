@@ -19,8 +19,8 @@ check: test
 # grammar with the checker in test/.  (2) Over the wire: boot a live
 # server, pull its registry with a trace-stamped `compo stats
 # --connect`, validate that exposition the same way, and require the
-# server-telemetry families (server.gate.* contention profile, net.*
-# request accounting) to be present.
+# server-telemetry families (net.* request latency and request
+# accounting) to be present.
 OBS_SOCK := /tmp/compo-obs.sock
 obs-check: build
 	dune exec bin/compo_cli.exe -- stats schemas/gates.ddl --format=openmetrics > obs-check.om
@@ -37,9 +37,7 @@ obs-check: build
 	  [ $$rc -eq 0 ] || { echo "obs-check: live stats over the wire failed"; exit 1; }; \
 	  [ $$drained -eq 0 ] || { echo "obs-check: server did not drain cleanly (exit $$drained)"; exit 1; }
 	dune exec test/check_openmetrics.exe -- obs-check.live.om
-	grep -q '^# TYPE compo_server_gate_wait_seconds histogram' obs-check.live.om
-	grep -q '^# TYPE compo_server_gate_hold_seconds histogram' obs-check.live.om
-	grep -q '^# TYPE compo_server_gate_queue_depth gauge' obs-check.live.om
+	grep -q '^# TYPE compo_net_request_seconds histogram' obs-check.live.om
 	grep -q '^# TYPE compo_net_requests counter' obs-check.live.om
 	rm -f obs-check.om obs-check.live.om
 
@@ -51,17 +49,19 @@ obs-check: build
 torture-check: build
 	dune exec test/torture.exe -- --log torture-check.log
 
-# Reader/writer stress: 4 reader domains of selects racing interleaved
-# committed/aborted write batches on the main domain, with a torn-read
-# oracle (any inconsistent snapshot surfaces as a row where A <> B),
-# exact resolve-cache accounting (lookups = hits + misses), and a check
-# that the readers really caught plan state up by delta concurrently.
-# A race there shows in some 2 s runs and not others, so the driver
-# runs three times.  The differential oracle itself (interpreted ==
-# compiled over 200+ random schemas) runs inside `make test` as the
-# par-diff suite.
+# Server stress: client sessions of random designer operations
+# (transactions, autocommit reads and writes, selects) against an
+# in-process server, racing for the locks of shared roots; every
+# session's recorded history is checked against its model,
+# transactional reads of other sessions' chains against the writers'
+# commits, and the committed transactions' shared reads and the final
+# state against a serial replay in commit order (see
+# test/test_server_stress.ml).
+# Interleavings differ from run to run, so the harness runs three
+# times.  The differential oracle itself (interpreted == compiled over
+# 200+ random schemas) runs inside `make test` as the par-diff suite.
 stress-check: build
-	for i in 1 2 3; do dune exec test/test_par_stress.exe || exit 1; done
+	for i in 1 2 3; do dune exec test/test_server_stress.exe || exit 1; done
 
 # The benchmark's own tests (percentile, window and probe-selection
 # vectors, plus a tiny smoke run of every workload in both modes).

@@ -13,11 +13,11 @@
    mostly inherited-attribute reads (Length resolves through the
    implementation's interface binding), an occasional select
    over the Implementations extent, and an occasional
-   begin/set/commit transaction on a thread-distinct target.  Per-request
-   wall times go into a private obs histogram per point; the JSON report
-   (E19, BENCH_server.json) carries throughput and p50/p99/p999 per
-   connection count.  --check exits non-zero if any protocol error
-   occurred — the CI soak gate. *)
+   begin/set/commit transaction on a thread-distinct target.  Every
+   request's wall time is kept as a raw sample; the JSON report (E19,
+   BENCH_server.json) carries throughput and p50/p99/p999 per connection
+   count, each the nearest-rank value of the sorted samples.  --check
+   exits non-zero if any protocol error occurred — the CI soak gate. *)
 
 module Metrics = Compo_obs.Metrics
 module Server = Compo_net.Server
@@ -52,15 +52,36 @@ type point = {
   p999_us : float;
 }
 
-let quantile_us snap q =
-  let v = Metrics.quantile snap q *. 1e6 in
-  if Float.is_nan v then 0. else v
+(* Raw per-request latencies in seconds: one buffer per worker and
+   opcode, so the hot path takes no lock. *)
+type samples = { mutable data : float array; mutable len : int }
 
-(* Per-opcode latency families in the *default* registry: the per-point
-   histogram above resets with each connection count, but these
+let samples () = { data = Array.make 1024 0.; len = 0 }
+
+let push s x =
+  if s.len = Array.length s.data then begin
+    let d = Array.make (2 * s.len) 0. in
+    Array.blit s.data 0 d 0 s.len;
+    s.data <- d
+  end;
+  s.data.(s.len) <- x;
+  s.len <- s.len + 1
+
+let sorted_samples parts =
+  let a = Array.concat (List.map (fun s -> Array.sub s.data 0 s.len) parts) in
+  Array.sort Float.compare a;
+  a
+
+(* nearest rank: the smallest sample with at least [q] of them at or
+   below it *)
+let percentile_us sorted q =
+  let n = Array.length sorted in
+  if n = 0 then 0.
+  else sorted.(max 0 (int_of_float (Float.ceil (q *. float_of_int n)) - 1)) *. 1e6
+
+(* Per-opcode latency families in the *default* registry: they
    accumulate over the whole run and land in the final
-   BENCH_server.metrics.json snapshot — the client-side breakdown that
-   pairs with the server's per-opcode gate profile. *)
+   BENCH_server.metrics.json snapshot, the client-side breakdown. *)
 let loadgen_ops = [ "get_attr"; "select"; "begin"; "set_attr"; "commit" ]
 
 let op_hists =
@@ -71,8 +92,9 @@ let op_hists =
 
 let op_hist name = List.assoc name op_hists
 
-(* the worker op mix, shared by sync and pipelined modes *)
-let run_worker ~socket ~trace_sample ~stop_at ~targets ~hist ~requests
+(* the worker op mix, shared by sync and pipelined modes; [own] holds
+   this worker's samples, one buffer per opcode *)
+let run_worker ~socket ~trace_sample ~stop_at ~targets ~own ~requests
     ~app_errors ~proto_errors ~pipeline tid =
   match
     Client.connect ~user:(Printf.sprintf "load-%d" tid) ~trace_sample socket
@@ -80,12 +102,14 @@ let run_worker ~socket ~trace_sample ~stop_at ~targets ~hist ~requests
   | Error _ -> Atomic.incr proto_errors
   | Ok c ->
       let n = Array.length targets in
-      let own = targets.(tid mod n) in
+      let target = targets.(tid mod n) in
       let where = Expr.(path [ "Length" ] >= int 0) in
+      let sample op dt =
+        push (List.assoc op own) dt;
+        Metrics.observe (op_hist op) dt
+      in
       let record op t0 =
-        let dt = Unix.gettimeofday () -. t0 in
-        Metrics.observe hist dt;
-        Metrics.observe (op_hist op) dt;
+        sample op (Unix.gettimeofday () -. t0);
         Atomic.incr requests
       in
       let count_err (r : (_, Client.error) result) =
@@ -112,7 +136,7 @@ let run_worker ~socket ~trace_sample ~stop_at ~targets ~hist ~requests
            else if i mod 16 = 15 then begin
              sync "begin" (fun () -> Client.begin_txn c);
              sync "set_attr" (fun () ->
-                 Client.set_attr c own "TimeBehavior" (Value.Int (i land 7)));
+                 Client.set_attr c target "TimeBehavior" (Value.Int (i land 7)));
              sync "commit" (fun () -> Client.commit c)
            end
            else if pipeline <= 1 then
@@ -144,8 +168,7 @@ let run_worker ~socket ~trace_sample ~stop_at ~targets ~hist ~requests
              if !sent > 0 then begin
                let per = (Unix.gettimeofday () -. t0) /. float_of_int !sent in
                for _ = 1 to !sent do
-                 Metrics.observe hist per;
-                 Metrics.observe (op_hist "get_attr") per
+                 sample "get_attr" per
                done
              end
            end
@@ -154,44 +177,44 @@ let run_worker ~socket ~trace_sample ~stop_at ~targets ~hist ~requests
       Client.close c
 
 let run_point ~socket ~trace_sample ~targets ~duration ~pipeline connections =
-  let reg = Metrics.create_registry () in
-  let hist = Metrics.histogram ~registry:reg "net.client.request.seconds" in
   let requests = Atomic.make 0
   and app_errors = Atomic.make 0
   and proto_errors = Atomic.make 0 in
+  let per_worker =
+    Array.init connections (fun _ ->
+        List.map (fun op -> (op, samples ())) loadgen_ops)
+  in
   let t0 = Unix.gettimeofday () in
   let stop_at = t0 +. duration in
   let threads =
     List.init connections (fun tid ->
         Thread.create
           (fun () ->
-            run_worker ~socket ~trace_sample ~stop_at ~targets ~hist ~requests
-              ~app_errors ~proto_errors ~pipeline tid)
+            run_worker ~socket ~trace_sample ~stop_at ~targets
+              ~own:per_worker.(tid) ~requests ~app_errors ~proto_errors
+              ~pipeline tid)
           ())
   in
   List.iter Thread.join threads;
   let wall = Unix.gettimeofday () -. t0 in
-  let snap =
-    match Metrics.find ~registry:reg "net.client.request.seconds" with
-    | Some (Metrics.Histogram h) -> h
-    | _ -> assert false
-  in
-  {
-    connections;
-    wall;
-    requests = Atomic.get requests;
-    app_errors = Atomic.get app_errors;
-    proto_errors = Atomic.get proto_errors;
-    p50_us = quantile_us snap 0.5;
-    p99_us = quantile_us snap 0.99;
-    p999_us = quantile_us snap 0.999;
-  }
+  let sorted = sorted_samples (List.concat_map (List.map snd) (Array.to_list per_worker)) in
+  ( {
+      connections;
+      wall;
+      requests = Atomic.get requests;
+      app_errors = Atomic.get app_errors;
+      proto_errors = Atomic.get proto_errors;
+      p50_us = percentile_us sorted 0.5;
+      p99_us = percentile_us sorted 0.99;
+      p999_us = percentile_us sorted 0.999;
+    },
+    per_worker )
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
 
 let write_json ~path ~socket ~self_hosted ~duration ~pipeline ~populate
-    ~drain ~forced points =
+    ~drain ~forced ~op_samples points =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"experiment\": \"E19\",\n";
@@ -225,26 +248,23 @@ let write_json ~path ~socket ~self_hosted ~duration ~pipeline ~populate
       0. points
   in
   Printf.bprintf buf "  \"max_rps\": %.1f,\n" max_rps;
-  (* whole-run per-opcode breakdown from the default-registry families
-     (also carried, with full buckets, by BENCH_server.metrics.json) *)
+  (* whole-run per-opcode breakdown from the raw samples of every point *)
   Buffer.add_string buf "  \"per_op\": {\n";
   let per_op =
     List.filter_map
       (fun name ->
-        match Metrics.find ("net.client.request.seconds." ^ name) with
-        | Some (Metrics.Histogram h) when h.Metrics.h_count > 0 ->
-            Some (name, h)
-        | _ -> None)
+        let sorted = sorted_samples (List.map (List.assoc name) op_samples) in
+        if Array.length sorted = 0 then None else Some (name, sorted))
       loadgen_ops
   in
   let n_ops = List.length per_op in
   List.iteri
-    (fun i (name, h) ->
+    (fun i (name, sorted) ->
       Printf.bprintf buf
         "    %S: { \"count\": %d, \"p50_us\": %.1f, \"p99_us\": %.1f, \
          \"p999_us\": %.1f }%s\n"
-        name h.Metrics.h_count (quantile_us h 0.5) (quantile_us h 0.99)
-        (quantile_us h 0.999)
+        name (Array.length sorted) (percentile_us sorted 0.5)
+        (percentile_us sorted 0.99) (percentile_us sorted 0.999)
         (if i = n_ops - 1 then "" else ","))
     per_op;
   Buffer.add_string buf "  },\n";
@@ -359,10 +379,10 @@ let () =
   end;
   say "%12s %10s %10s %12s %12s %12s %6s %6s" "connections" "requests" "rps"
     "p50_us" "p99_us" "p999_us" "app" "proto";
-  let points =
+  let runs =
     List.map
       (fun c ->
-        let p =
+        let p, op_samples =
           run_point ~socket:socket_path ~trace_sample ~targets
             ~duration:!duration ~pipeline:!pipeline c
         in
@@ -370,9 +390,11 @@ let () =
           p.requests
           (float_of_int p.requests /. p.wall)
           p.p50_us p.p99_us p.p999_us p.app_errors p.proto_errors;
-        p)
+        (p, op_samples))
       !connections
   in
+  let points = List.map fst runs in
+  let op_samples = List.concat_map (fun (_, w) -> Array.to_list w) runs in
   let drain, forced =
     match srv with
     | None -> (0., 0)
@@ -383,7 +405,7 @@ let () =
         (Server.drain_seconds srv, Server.forced_aborts srv)
   in
   write_json ~path:!json ~socket:socket_path ~self_hosted ~duration:!duration
-    ~pipeline:!pipeline ~populate:!populate ~drain ~forced points;
+    ~pipeline:!pipeline ~populate:!populate ~drain ~forced ~op_samples points;
   Metrics.snapshot_to_file "BENCH_server.metrics.json";
   say "wrote BENCH_server.metrics.json";
   let proto_total = List.fold_left (fun acc p -> acc + p.proto_errors) 0 points in

@@ -43,8 +43,7 @@ let entity_count db =
   Compo_core.Store.iter (Compo_core.Database.store db) (fun _ -> incr n);
   !n
 
-let serve socket_path dir demo populate accept_domains idle_timeout drain
-    flightrec quiet =
+let serve socket_path dir demo populate idle_timeout drain flightrec quiet =
   (match Compo_obs.Flightrec.configure_from_env () with
   | Ok () -> ()
   | Error msg -> die msg);
@@ -63,19 +62,19 @@ let serve socket_path dir demo populate accept_domains idle_timeout drain
   let cfg =
     {
       (Server.default_config ~socket_path) with
-      accept_domains;
       idle_timeout;
       drain_deadline = drain;
     }
   in
+  (* counted before the loop starts: from then on it owns the kernel *)
+  let types = List.length (Compo_core.Schema.entries (Compo_core.Database.schema db))
+  and entities = entity_count db in
   let srv = Server.start cfg db in
   let say fmt =
     Printf.ksprintf (fun s -> if not quiet then print_endline s) fmt
   in
-  say "compo-server: listening on %s (%d types, %d entities)" socket_path
-    (List.length
-       (Compo_core.Schema.entries (Compo_core.Database.schema db)))
-    (entity_count db);
+  say "compo-server: listening on %s (%d types, %d entities)" socket_path types
+    entities;
   if not quiet then flush stdout;
   let flightrec_path =
     match flightrec with Some p -> p | None -> socket_path ^ ".flightrec.json"
@@ -88,9 +87,10 @@ let serve socket_path dir demo populate accept_domains idle_timeout drain
     | Error msg ->
         prerr_endline ("compo-server: flight recorder dump failed: " ^ msg)
   in
-  (* an uncaught exception anywhere (acceptor domain, main thread) gets
-     the last few thousand events written out before the process dies —
-     the recorder's reason for existing *)
+  (* an uncaught exception gets the last few thousand events written out
+     before the process dies — the recorder's reason for existing.  A
+     failure of the server loop reaches it too: the loop hangs up,
+     unbinds and flags the stop, and [Server.stop] below re-raises it *)
   Printexc.set_uncaught_exception_handler (fun exn bt ->
       Compo_obs.Flightrec.record
         ~attrs:[ ("exn", Printexc.to_string exn) ]
@@ -161,11 +161,14 @@ let populate_arg =
            one interface, giving load generators a wide extent of \
            inherited attributes.")
 
-let accept_domains_arg =
+(* accepted so existing scripts keep working; the server has one loop *)
+let ignored_accept_arg =
   Arg.(
-    value & opt int 2
+    value & opt int 1
     & info [ "accept-domains" ] ~docv:"N"
-        ~doc:"Parallel accept-loop domains.")
+        ~doc:
+          "Ignored.  The server runs one event loop, on one domain, \
+           whatever $(docv) is.")
 
 let idle_timeout_arg =
   Arg.(
@@ -214,11 +217,10 @@ let cmd =
          ])
     Term.(
       const
-        (fun socket dir demo populate accept_domains idle_timeout drain
-             flightrec quiet ->
-        serve socket dir demo populate accept_domains idle_timeout drain
-          flightrec quiet)
-      $ socket_arg $ dir_arg $ demo_arg $ populate_arg $ accept_domains_arg
+        (fun socket dir demo populate (_ : int) idle_timeout drain flightrec
+             quiet ->
+        serve socket dir demo populate idle_timeout drain flightrec quiet)
+      $ socket_arg $ dir_arg $ demo_arg $ populate_arg $ ignored_accept_arg
       $ idle_timeout_arg $ drain_arg $ flightrec_arg $ quiet_arg)
 
 let () = exit (Cmd.eval cmd)

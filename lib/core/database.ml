@@ -285,10 +285,6 @@ let rec conjunction_plan t ~cls expr =
       | _ -> None)
 
 let select t ~cls ?jobs:_ ?where () =
-  (* one latch section covers planning (the schema and index registry),
-     the access stage and the filter, so the rows come from one frozen
-     snapshot even with a writer on another domain *)
-  Store.with_read_latch t.db_store @@ fun () ->
   match Option.bind where (conjunction_plan t ~cls) with
   | Some (plan, residual) ->
       let* candidates = run_plan t ~cls plan in
@@ -330,7 +326,6 @@ let describe_plan = function
    timing and the eval.node delta.  Kept separate so the plain read path
    never pays the clock calls. *)
 let explain_select t ~cls ?where () =
-  Store.with_read_latch t.db_store @@ fun () ->
   let where_str = Option.map Expr.to_string where in
   let nodes0 = Eval.node_count () in
   match Option.bind where (conjunction_plan t ~cls) with

@@ -141,9 +141,6 @@ val select :
     the index and the rest filters the candidates.  Anything else scans
     the extent.
 
-    The select runs on the calling domain, and one read-latch section
-    covers planning, the access stage and the filter, so the rows come
-    from one frozen snapshot even with a writer on another domain.
     [jobs] is accepted and ignored. *)
 
 val select_subobjects :

@@ -121,9 +121,6 @@ type state = {
   mutable s_registry : registry option;
   s_columns : (string * string, column) Hashtbl.t;  (* (cls, spec key) *)
   s_decisions : (string * string, decision) Hashtbl.t;  (* (type, attr) *)
-  s_catchup : Mutex.t;
-      (* serializes readers bringing the state current (and so every
-         use of the [s_decisions] memo) *)
 }
 
 and column = {
@@ -146,11 +143,7 @@ and column = {
 
 type Store.plan_slot += Slot of state
 
-(* readers sharing the store's read latch may race to create the slot *)
-let slot_lock = Mutex.create ()
-
 let state_of store =
-  Mutex.protect slot_lock @@ fun () ->
   match Store.plan_slot store with
   | Some (Slot st) -> st
   | Some _ | None ->
@@ -159,7 +152,6 @@ let state_of store =
           s_registry = None;
           s_columns = Hashtbl.create 16;
           s_decisions = Hashtbl.create 64;
-          s_catchup = Mutex.create ();
         }
       in
       Store.set_plan_slot store (Slot st);
@@ -326,7 +318,7 @@ let registry_of store st stamp =
           rebuild_registry store st stamp)
   | Some _ | None -> rebuild_registry store st stamp
 
-(* memoized in [s_decisions]: the caller holds [s_catchup] *)
+(* memoized in [s_decisions] *)
 let decision_of st schema ty attr =
   match Hashtbl.find_opt st.s_decisions (ty, attr) with
   | Some d -> d
@@ -944,21 +936,16 @@ let try_scan store ~cls expr =
             let members =
               lazy (Result.value ~default:[] (Store.class_members store cls))
             in
-            (* readers under one read latch see one store state, but the
-               catch-up patches shared structures: one reader at a time;
-               the scan below only reads them *)
-            let reg, cols =
-              Mutex.protect st.s_catchup @@ fun () ->
-              let reg = registry_of store st stamp in
-              ( reg,
-                Array.mapi
-                  (fun i spec ->
-                    let c, b =
-                      column_of store st reg ~cls ~spec members stamp
-                    in
-                    built.(i) <- b;
-                    c)
-                  specs )
+            (* bring the shared state current; the scan below only
+               reads it *)
+            let reg = registry_of store st stamp in
+            let cols =
+              Array.mapi
+                (fun i spec ->
+                  let c, b = column_of store st reg ~cls ~spec members stamp in
+                  built.(i) <- b;
+                  c)
+                specs
             in
             (* every column of one scan is aligned to the same extent *)
             let marr =
@@ -1114,8 +1101,6 @@ let check_column add store st reg schema cls col =
 let self_check store =
   match Store.plan_slot store with
   | Some (Slot st) -> (
-      (* the from-scratch fills consult the decision memo *)
-      Mutex.protect st.s_catchup @@ fun () ->
       let problems = ref [] in
       let add s = problems := s :: !problems in
       let report fmt = Printf.ksprintf add fmt in

@@ -65,9 +65,8 @@
     carry the per-hop notifications the transaction layer turns into
     lock inheritance, and a column scan performs no hops.
 
-    Readers sharing the store's read latch bring the shared state up to
-    date one at a time (a per-store catch-up mutex); the scan itself
-    runs outside it. *)
+    The plan state belongs to its store and shares the store's single
+    owner ({!Store}): a select brings it up to date, then scans it. *)
 
 type report = {
   rp_closures : int;
@@ -127,9 +126,7 @@ val try_scan :
     [Some rows] are bit-identical — order and membership — to the
     interpreted scan's.  The class is checked with
     {!Store.class_member_type}; the extent list is copied only when a
-    column has to be built or realigned.  The caller holds the store's
-    read latch; concurrent readers take turns bringing the shared plan
-    state current. *)
+    column has to be built or realigned. *)
 
 val compiled_scans : unit -> int
 (** Process-wide count of selects served by the compiled engine

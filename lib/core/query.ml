@@ -44,11 +44,10 @@ let scan store ~cls where =
 
 let select store ~cls ?where () =
   Trace.with_span "query.select" ~attrs:[ ("cls", cls) ] @@ fun () ->
-  Store.with_read_latch store @@ fun () -> scan store ~cls where
+  scan store ~cls where
 
 let select_subobjects store ~parent ~subclass ?where () =
   Trace.with_span "query.select" ~attrs:[ ("subclass", subclass) ] @@ fun () ->
-  Store.with_read_latch store @@ fun () ->
   let* members = Inheritance.subclass_members store parent subclass in
   observe_extent members;
   Ok (filter_candidates store where members)

@@ -14,11 +14,7 @@ val select :
   (Surrogate.t list, Errors.t) result
 (** Members of a top-level class satisfying the predicate.  A candidate for
     which the predicate fails to evaluate is excluded (a design object with
-    unbound components simply does not match).
-
-    The select runs on the calling domain and holds the store's read latch
-    for its whole duration, so a concurrent writer on another domain can
-    never show it a torn state. *)
+    unbound components simply does not match). *)
 
 val select_subobjects :
   Store.t ->
@@ -33,16 +29,14 @@ val filter_candidates :
   Store.t -> Expr.t option -> Surrogate.t list -> Surrogate.t list
 (** The residual-filter stage of a select: keep the candidates matching
     the predicate, preserving order.  Exposed for {!Database}'s planned
-    selects, which run it over an index-produced candidate list under
-    their own latch. *)
+    selects, which run it over an index-produced candidate list. *)
 
 val scan :
   Store.t -> cls:string -> Expr.t option ->
   (Surrogate.t list, Errors.t) result
-(** The unplanned access path of {!select} without its span or latch:
-    the compiled engine ({!Plan.try_scan}) when it serves, else the
-    class extent filtered by the interpreter.  The caller holds the
-    store's read latch. *)
+(** The unplanned access path of {!select} without its span: the
+    compiled engine ({!Plan.try_scan}) when it serves, else the class
+    extent filtered by the interpreter. *)
 
 val project :
   Store.t -> Surrogate.t list -> string -> (Value.t list, Errors.t) result

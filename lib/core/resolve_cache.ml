@@ -1,6 +1,5 @@
 module Obs = Compo_obs.Metrics
 module Trace = Compo_obs.Trace
-module Domain_slot = Compo_obs.Domain_slot
 
 let m_lookup = Obs.counter "inheritance.cache.lookup"
 let m_hit = Obs.counter "inheritance.cache.hit"
@@ -46,72 +45,39 @@ module Ktbl = Hashtbl.Make (Key)
    change, so the entry lives exactly as long as its source's floor. *)
 type entry = { e_value : Value.t; e_gen : int; e_src : Surrogate.t }
 
-(* Domain safety: the generation and global floor are atomics — the
-   pre-fix code read-modify-wrote plain ints, so concurrent
-   invalidations lost bumps and a racing fill could publish under a
-   floor it never saw (the "global-generation read/write race").  The
-   entry table is sharded per domain: each domain fills and sweeps only
-   its own hash table, so fills on reader domains never contend and
-   never corrupt a shared table.  Source floors ([rc_floors]) are only
-   written by store mutators, which the store serialises against readers
-   (its write latch), so a plain table read-only during read sections
-   is sound.  [clear] walks every shard and is likewise only
-   called from write-side paths. *)
+(* Like its store, the cache has a single owner (see {!Store}): the
+   generation, the floors and the table are plain mutable state. *)
 type t = {
   mutable rc_enabled : bool;
-  rc_capacity : int;  (* per-shard entry bound *)
-  rc_gen : int Atomic.t;  (* bumped by every invalidation *)
-  rc_floor : int Atomic.t;  (* entries filled before this are dead *)
+  rc_capacity : int;  (* entry bound *)
+  mutable rc_gen : int;  (* bumped by every invalidation *)
+  mutable rc_floor : int;  (* entries filled before this are dead *)
   rc_floors : int Surrogate.Tbl.t;  (* per-source floors (scoped bumps) *)
-  rc_shards : entry Ktbl.t option Atomic.t array;  (* per-domain tables *)
+  rc_table : entry Ktbl.t;
 }
 
 let create ?(capacity = 65536) ?enabled () =
   {
     rc_enabled = Option.value ~default:!default enabled;
     rc_capacity = max 1 capacity;
-    rc_gen = Atomic.make 0;
-    rc_floor = Atomic.make 0;
+    rc_gen = 0;
+    rc_floor = 0;
     rc_floors = Surrogate.Tbl.create 64;
-    rc_shards = Array.init Domain_slot.max_slots (fun _ -> Atomic.make None);
+    rc_table = Ktbl.create 256;
   }
 
 let enabled t = t.rc_enabled
-
-let fold_shards t f acc =
-  Array.fold_left
-    (fun acc slot ->
-      match Atomic.get slot with Some tbl -> f acc tbl | None -> acc)
-    acc t.rc_shards
-
-let size t = fold_shards t (fun acc tbl -> acc + Ktbl.length tbl) 0
+let size t = Ktbl.length t.rc_table
 let capacity t = t.rc_capacity
-let generation t = Atomic.get t.rc_gen
-
-(* The caller's own shard; [None] for a domain past the slot space,
-   which simply runs uncached. *)
-let own_shard t =
-  let slot = Domain_slot.get () in
-  if not (Domain_slot.in_range slot) then None
-  else
-    match Atomic.get t.rc_shards.(slot) with
-    | Some _ as s -> s
-    | None ->
-        let tbl = Ktbl.create 256 in
-        Atomic.set t.rc_shards.(slot) (Some tbl);
-        Some tbl
+let generation t = t.rc_gen
 
 let sync_gauge t =
   if Obs.enabled () then Obs.set_gauge g_size (float_of_int (size t))
 
 let clear t =
-  Array.iter
-    (fun slot -> match Atomic.get slot with
-      | Some tbl -> Ktbl.reset tbl
-      | None -> ())
-    t.rc_shards;
+  Ktbl.reset t.rc_table;
   Surrogate.Tbl.reset t.rc_floors;
-  Atomic.set t.rc_floor (Atomic.get t.rc_gen);
+  t.rc_floor <- t.rc_gen;
   sync_gauge t
 
 let set_enabled t b =
@@ -120,47 +86,35 @@ let set_enabled t b =
 
 let floor_of t s =
   match Surrogate.Tbl.find_opt t.rc_floors s with
-  | Some f -> max f (Atomic.get t.rc_floor)
-  | None -> Atomic.get t.rc_floor
+  | Some f -> max f t.rc_floor
+  | None -> t.rc_floor
 
 let find t s name =
   if not t.rc_enabled then None
   else begin
     Obs.incr m_lookup;
-    match own_shard t with
+    match Ktbl.find_opt t.rc_table (s, name) with
+    | Some e when e.e_gen >= floor_of t e.e_src ->
+        Obs.incr m_hit;
+        Some e.e_value
+    | Some _ ->
+        (* dead entry: sweep it lazily so capacity tracks live data *)
+        Ktbl.remove t.rc_table (s, name);
+        sync_gauge t;
+        Obs.incr m_miss;
+        None
     | None ->
         Obs.incr m_miss;
         None
-    | Some tbl -> (
-        match Ktbl.find_opt tbl (s, name) with
-        | Some e when e.e_gen >= floor_of t e.e_src ->
-            Obs.incr m_hit;
-            Some e.e_value
-        | Some _ ->
-            (* dead entry: sweep it lazily so capacity tracks live data *)
-            Ktbl.remove tbl (s, name);
-            sync_gauge t;
-            Obs.incr m_miss;
-            None
-        | None ->
-            Obs.incr m_miss;
-            None)
   end
 
 let fill t ~gen ~src s name v =
-  if t.rc_enabled && gen >= floor_of t src then
-    match own_shard t with
-    | None -> ()
-    | Some tbl ->
-        if Ktbl.length tbl >= t.rc_capacity then
-          (* epoch-evict this shard only: another domain's table is
-             never touched from here *)
-          Ktbl.reset tbl;
-        (* re-check: an invalidation may have raced the walk *)
-        if gen >= floor_of t src then begin
-          Ktbl.replace tbl (s, name) { e_value = v; e_gen = gen; e_src = src };
-          sync_gauge t
-        end
+  if t.rc_enabled && gen >= floor_of t src then begin
+    (* epoch eviction: a full table starts over *)
+    if Ktbl.length t.rc_table >= t.rc_capacity then Ktbl.reset t.rc_table;
+    Ktbl.replace t.rc_table (s, name) { e_value = v; e_gen = gen; e_src = src };
+    sync_gauge t
+  end
 
 (* Invalidation is a no-op while disabled: nothing fills a disabled cache,
    and re-enabling starts from a cleared table (see {!set_enabled}). *)
@@ -169,8 +123,8 @@ let invalidate_scoped t s =
     Trace.with_span "inheritance.cache.invalidation"
       ~attrs:[ ("scope", "scoped") ]
     @@ fun () ->
-    let gen = Atomic.fetch_and_add t.rc_gen 1 + 1 in
-    Surrogate.Tbl.replace t.rc_floors s gen;
+    t.rc_gen <- t.rc_gen + 1;
+    Surrogate.Tbl.replace t.rc_floors s t.rc_gen;
     Obs.incr m_invalidate_scoped
 
 let invalidate_global t =
@@ -178,6 +132,6 @@ let invalidate_global t =
     Trace.with_span "inheritance.cache.invalidation"
       ~attrs:[ ("scope", "global") ]
     @@ fun () ->
-    ignore (Atomic.fetch_and_add t.rc_gen 1);
+    t.rc_gen <- t.rc_gen + 1;
     clear t;
     Obs.incr m_invalidate_global

@@ -33,13 +33,9 @@
     {!Store.resolve_cache_active} enforces this; it is why transactional
     reads always walk.
 
-    Domain safety: the generation and global floor are atomics, and the
-    entry table is sharded per domain (each domain fills, hits and
-    sweeps only its own shard), so reader domains resolve concurrently
-    without locks and a reader's fill can never publish a stale value
-    another domain's invalidation already killed.  Source floors and
-    {!clear} are write-side operations: the store serialises them
-    against readers with its write latch.
+    Ownership: the cache belongs to its store and shares the store's
+    single owner (see {!Store}); it is one plain table with no locks or
+    atomics, and callers serialise.
 
     Observability: [inheritance.cache.{lookup,hit,miss}] and
     [inheritance.cache.invalidate.{scoped,global}] counters plus an
@@ -51,9 +47,9 @@
 type t
 
 val create : ?capacity:int -> ?enabled:bool -> unit -> t
-(** [capacity] bounds the number of live entries per domain shard
-    (default 65536); filling a full shard clears that shard first
-    (epoch eviction).  [enabled] defaults to {!default_enabled}. *)
+(** [capacity] bounds the number of entries (default 65536); filling a
+    full table clears it first (epoch eviction).  [enabled] defaults to
+    {!default_enabled}. *)
 
 val enabled : t -> bool
 
@@ -93,16 +89,16 @@ val invalidate_global : t -> unit
     in-flight fills die too. *)
 
 val size : t -> int
-(** Entries across every domain shard (including scoped-invalidated
-    ones not yet swept). *)
+(** Entries in the table (including scoped-invalidated ones not yet
+    swept). *)
 
 val capacity : t -> int
 
 val lookups : unit -> int
 (** Process-wide lookup count ([find] calls on an enabled cache); every
     lookup is counted exactly once as a hit or a miss, so
-    [lookups () = hits () + misses ()] even under concurrent load — the
-    stress suite asserts this. *)
+    [lookups () = hits () + misses ()] — the server stress harness
+    asserts this over the wire. *)
 
 val hits : unit -> int
 (** Process-wide hit count from the metrics registry (0 while metrics are

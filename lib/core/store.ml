@@ -77,7 +77,6 @@ type t = {
      participant, for referential integrity on delete *)
   referrer_index : Surrogate.t list Surrogate.Tbl.t;
   cache : Resolve_cache.t;  (* memoised inherited-attribute resolutions *)
-  latch : Rwlatch.t;  (* writers exclusive vs select readers *)
   mutable read_hooks : (int * (Surrogate.t -> unit)) list;
   mutable write_hooks : (int * (Surrogate.t -> unit)) list;
   mutable next_hook : int;
@@ -124,7 +123,6 @@ let create schema =
     class_order = [];
     referrer_index = Surrogate.Tbl.create 256;
     cache = Resolve_cache.create ();
-    latch = Rwlatch.create ();
     read_hooks = [];
     write_hooks = [];
     next_hook = 1;
@@ -155,20 +153,10 @@ let changes_since t since =
            t.change_log.((since + 1 + i) mod change_log_cap)))
 
 (* ------------------------------------------------------------------ *)
-(* Latching: every mutator below runs [exclusively]; a select holds
-   [with_read_latch] for its whole run, so it sees one frozen store
-   state.  Single-domain use never contends: the write side is
-   reentrant and uncontended lock/unlock is cheap. *)
-
-let exclusively t f = Rwlatch.with_write t.latch f
-let with_read_latch t f = Rwlatch.with_read t.latch f
-
-(* ------------------------------------------------------------------ *)
 (* Resolve cache: generation plumbing                                  *)
 
 let resolve_cache t = t.cache
-let set_resolve_cache_enabled t b =
-  exclusively t @@ fun () -> Resolve_cache.set_enabled t.cache b
+let set_resolve_cache_enabled t b = Resolve_cache.set_enabled t.cache b
 
 (* The cache stands in for the chain walk, so it may only serve reads
    when no read hooks are installed: hooks carry the per-hop
@@ -183,7 +171,6 @@ let resolve_cache_active t =
   | `Disabled | `Hooked -> false
 
 let invalidate_resolve_cache t =
-  exclusively t @@ fun () ->
   record_change t Ch_global;
   Resolve_cache.invalidate_global t.cache
 
@@ -197,19 +184,16 @@ let fresh_hook t =
   id
 
 let add_read_hook t f =
-  exclusively t @@ fun () ->
   let id = fresh_hook t in
   t.read_hooks <- (id, f) :: t.read_hooks;
   id
 
 let add_write_hook t f =
-  exclusively t @@ fun () ->
   let id = fresh_hook t in
   t.write_hooks <- (id, f) :: t.write_hooks;
   id
 
 let remove_hook t id =
-  exclusively t @@ fun () ->
   t.read_hooks <- List.filter (fun (i, _) -> i <> id) t.read_hooks;
   t.write_hooks <- List.filter (fun (i, _) -> i <> id) t.write_hooks
 
@@ -251,7 +235,6 @@ let entity_count t = Surrogate.Tbl.length t.entities
 (* Classes                                                             *)
 
 let create_class t ~name ~member_type =
-  exclusively t @@ fun () ->
   if Hashtbl.mem t.classes name then
     Error (Errors.Duplicate_definition ("class " ^ name))
   else
@@ -275,7 +258,6 @@ let class_members t name =
   Result.map (fun c -> List.rev c.cls_members) (find_class t name)
 
 let insert_into_class t ~cls s =
-  exclusively t @@ fun () ->
   let* c = find_class t cls in
   let* e = get t s in
   if not (is_instance_of t s c.cls_member_type) then
@@ -292,7 +274,6 @@ let insert_into_class t ~cls s =
   end
 
 let remove_from_class t ~cls s =
-  exclusively t @@ fun () ->
   let* c = find_class t cls in
   let* e = get t s in
   c.cls_members <- List.filter (fun m -> not (Surrogate.equal m s)) c.cls_members;
@@ -381,7 +362,6 @@ let make_object t ~ty attrs =
   Ok e
 
 let create_object t ?cls ~ty attrs =
-  exclusively t @@ fun () ->
   let* e = make_object t ~ty attrs in
   let* () =
     match cls with
@@ -404,7 +384,6 @@ let own_subclass_def t parent_ty name =
   | None -> Error (Errors.Unknown_class (parent_ty ^ "." ^ name))
 
 let create_subobject t ~parent ~subclass attrs =
-  exclusively t @@ fun () ->
   let* pe = get t parent in
   let* sc = own_subclass_def t pe.type_name subclass in
   let member_ty = Schema.subclass_member_type t.schema sc in
@@ -539,7 +518,6 @@ let make_relationship t ~ty ~participants ~attrs =
   Ok e
 
 let create_relationship t ~ty ~participants ?(attrs = []) () =
-  exclusively t @@ fun () ->
   let* e = make_relationship t ~ty ~participants ~attrs in
   notify_write ~change:(Ch_created e.id) t e.id;
   Ok e.id
@@ -564,7 +542,6 @@ let own_subrel_def t parent_ty name =
   | None -> Error (Errors.Unknown_class (parent_ty ^ "." ^ name))
 
 let create_subrel t ~parent ~subrel ~participants ?(attrs = []) () =
-  exclusively t @@ fun () ->
   let* pe = get t parent in
   let* sr = own_subrel_def t pe.type_name subrel in
   let* e = make_relationship t ~ty:sr.sr_rel_type ~participants ~attrs in
@@ -587,7 +564,6 @@ let local_attr t s name =
   Ok (Option.value ~default:Value.Null (Smap.find_opt name e.attrs))
 
 let set_attr t s name value =
-  exclusively t @@ fun () ->
   let* e = get t s in
   let* () = check_attr_value t e.type_name (name, value) in
   Obs.incr m_attr_write;
@@ -622,7 +598,6 @@ let participant t s name =
   | None -> Error (Errors.Unknown_attribute ("participant " ^ name))
 
 let set_participant t s name value =
-  exclusively t @@ fun () ->
   let* e = get t s in
   if e.kind <> Relationship_entity then
     Error
@@ -681,7 +656,6 @@ let link_state t link =
 let write_note name = Printf.sprintf "transmitter attribute %s updated" name
 
 let record_write t s name =
-  exclusively t @@ fun () ->
   if Surrogate.Tbl.mem t.entities s then begin
     let mark = { w_at = tick t; w_gen = Surrogate.Gen.current t.gen } in
     let m = Option.value ~default:Smap.empty (Surrogate.Tbl.find_opt t.written s) in
@@ -746,13 +720,11 @@ let stale_note t link =
   Ok (if ls.ls_note_at > at then ls.ls_note else note)
 
 let acknowledge t link =
-  exclusively t @@ fun () ->
   let* _ = find_link t link in
   (link_state t link).ls_ack <- tick t;
   Ok ()
 
 let set_stale_note t link note =
-  exclusively t @@ fun () ->
   let* _ = find_link t link in
   let ls = link_state t link in
   ls.ls_note_at <- tick t;
@@ -760,7 +732,6 @@ let set_stale_note t link note =
   Ok ()
 
 let restore_staleness t link ~stale ~note =
-  exclusively t @@ fun () ->
   if stale || note <> "" then begin
     let ls = link_state t link in
     ls.ls_pin <- tick t;
@@ -799,7 +770,6 @@ let pin_subtree t inheritor =
 (* Inheritance links (structural layer; semantics in Inheritance)      *)
 
 let add_inheritance_link t ~ty ~transmitter ~inheritor ~attrs =
-  exclusively t @@ fun () ->
   let* it = Schema.find_inher_rel_type t.schema ty in
   let* te = get t transmitter in
   let* ie = get t inheritor in
@@ -850,7 +820,6 @@ let add_inheritance_link t ~ty ~transmitter ~inheritor ~attrs =
 (* Delete with cascade                                                 *)
 
 let rec remove_inheritance_link t link =
-  exclusively t @@ fun () ->
   let* le = get t link in
   if le.kind <> Inheritance_link then
     Error (Errors.Invalid_binding (Surrogate.to_string link ^ " is not an inheritance link"))
@@ -891,7 +860,6 @@ let rec remove_inheritance_link t link =
   end
 
 and delete t ?(force = false) s =
-  exclusively t @@ fun () ->
   let* e = get t s in
   let* () =
     if e.inheritor_links <> [] && not force then
@@ -967,14 +935,12 @@ and delete t ?(force = false) s =
 let generator t = t.gen
 
 let restore_entity t e =
-  exclusively t @@ fun () ->
   Surrogate.Gen.mark_used t.gen e.id;
   add_entity t e;
   Smap.iter (fun _ v -> index_referrer t e.id v) e.participants;
   invalidate_resolve_cache t
 
 let restore_class t ~name ~member_type ~members =
-  exclusively t @@ fun () ->
   Hashtbl.replace t.classes name
     { cls_member_type = member_type; cls_members = List.rev members };
   if not (List.mem name t.class_order) then

@@ -105,27 +105,17 @@ type plan_slot = ..
 val plan_slot : t -> plan_slot option
 val set_plan_slot : t -> plan_slot -> unit
 
-(** {1 Latching}
+(** {1 Ownership}
 
-    Every mutator of this module runs under the store's write latch; a
-    select ({!Query.select} / {!Database.select}) holds the read side
-    for its whole run, so it evaluates against a frozen point-in-time
-    state even with a writer on another domain.  Single-domain code
-    never notices: the write side is reentrant per domain and
-    uncontended acquisition is cheap. *)
-
-val exclusively : t -> (unit -> 'a) -> 'a
-(** Run [f] holding the write latch: excluded against every mutator and
-    every select on other domains.  Reentrant — mutators called inside
-    [f] re-enter.  Use it to make a multi-operation batch (e.g. a
-    transaction body plus its commit) atomic with respect to readers on
-    other domains. *)
-
-val with_read_latch : t -> (unit -> 'a) -> 'a
-(** Run [f] holding the read latch: shared with other readers, excluded
-    against mutators.  Do not nest (writers are preferred and a nested
-    acquisition behind a waiting writer would deadlock); inside
-    {!exclusively} of the same domain it degrades to [f ()]. *)
+    A store, and everything that hangs off it (its resolve cache, its
+    compiled-plan slot, the transaction manager and the provenance
+    collector), has a single owner: callers serialise.  No mutator or
+    select takes a lock, and no two domains or threads may call into
+    the kernel at once.  The network server honours this by running
+    every request on one event-loop domain ([Compo_net.Server]); in
+    process, the caller is the owner.  Lock conflicts between design
+    transactions never block (the lock manager fails a conflicting
+    acquisition at once), so serialising callers costs no waiting. *)
 
 (** {1 Resolve cache}
 

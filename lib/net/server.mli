@@ -5,34 +5,41 @@
     designers connected to the same server conflict (and resolve) exactly
     as two in-process transactions do.
 
-    Concurrency model: a multi-domain accept loop hands each connection
-    to a dedicated handler thread that does socket I/O only; every
-    kernel entry (reads, writes, selects, transaction control) is
-    serialised through one process-wide gate mutex.  The store's write
-    latch is reentrant {e per domain}, and systhreads share their
-    domain's id, so unguarded concurrent kernel calls from sibling
-    threads would alias each other's latch ownership — the gate is the
-    correctness boundary.  Lock conflicts do not
-    block (the manager fails conflicting acquisitions immediately), so a
-    session never holds the gate waiting on another session.
+    Concurrency model: the kernel has a single owner.  {!start} spawns
+    one domain that runs a [Unix.select] loop over the listen socket and
+    every connection, and only that domain calls into the kernel while
+    the server runs; the caller of {!start} must not touch the database
+    until {!stop} returns.  Each connection has a nonblocking socket, an
+    input buffer and an output buffer.  A request is served, to
+    completion, once its whole frame has arrived; the requests of one
+    connection are answered in arrival order, so clients may pipeline.
+    Replies are queued and written as the socket accepts them, and a
+    connection with more than 1 MiB of unread replies is neither read
+    nor served until its peer reads.  Lock conflicts do not block (the
+    manager fails conflicting acquisitions immediately), so no request
+    ever waits inside the kernel for another session, and a peer that
+    stalls mid-frame or never reads its replies stalls only itself.
 
     Shutdown ({!stop}) unbinds the listen socket, lets sessions with an
     open transaction keep working until [drain_deadline], force-aborts
     the stragglers, and disconnects everyone.  Sessions without an open
-    transaction are closed at their next idle tick or completed request.
+    transaction are closed once their answered requests are flushed.
+    The read and idle timeouts and the drain are deadlines of the loop.
 
     Instrumented under [net.*]: connections (total/active/idle-closed),
     sessions, requests (total and per opcode), bytes in/out, request
     latency histogram, protocol and application errors, forced aborts,
-    and drain time.  The registry is only written when metrics are
+    and drain time; under [server.gate.*], the time a complete request
+    waited in the loop before the kernel took it ([wait_seconds]) and
+    the kernel call itself ([hold_seconds]).  Those two keep the names
+    of the gate mutex the loop replaced, because the benchmark's
+    designer workload reads them.  The registry is only written when metrics are
     enabled; the server does not flip the global switch itself.
 
-    The gate profiles itself under [server.gate.*]: wait-time and
-    hold-time histograms (total and per opcode) plus a queue-depth
-    gauge — the contention evidence the sharded-gate follow-up will be
-    judged against.  A request whose wire frame carried a sampled trace
-    context has the client's trace id threaded through the gate into
-    kernel spans and provenance records, so one designer operation is
+    The loop sets the trace slot ({!Compo_obs.Trace.set_current_trace})
+    around each request whose wire frame carried a sampled trace
+    context, and clears it afterwards, so the client's trace id reaches
+    kernel spans and provenance records and one designer operation is
     reconstructable end to end from the trace ring.  Requests slower
     than {!Compo_obs.Trace.slow_threshold} ([COMPO_SLOW_MS]) get their
     [Query.explain] plan captured into a bounded ring served by the
@@ -43,7 +50,6 @@ open Compo_core
 
 type config = {
   socket_path : string;
-  accept_domains : int;  (** parallel accept loops (default 2) *)
   idle_timeout : float;  (** seconds before an idle session is dropped *)
   read_timeout : float;  (** budget for finishing a started frame *)
   drain_deadline : float;  (** grace for open transactions on [stop] *)
@@ -52,13 +58,14 @@ type config = {
 }
 
 val default_config : socket_path:string -> config
-(** 2 accept domains, 300 s idle timeout, 10 s read timeout, 5 s drain
+(** 300 s idle timeout, 10 s read timeout, 5 s drain
     deadline, {!Protocol.default_max_frame}, backlog 128. *)
 
 type t
 
 val start : config -> Database.t -> t
-(** Bind, listen, and spawn the accept domains.  Replaces a stale socket
+(** Bind, listen, and spawn the domain that runs the loop and owns the
+    kernel until {!stop} returns.  Replaces a stale socket
     file at [socket_path].  Raises [Unix.Unix_error] when the path is
     unbindable.  Sets [SIGPIPE] to ignore (non-Windows) so a peer hanging
     up mid-response surfaces as [EPIPE] instead of killing the host. *)
@@ -68,11 +75,17 @@ val request_stop : t -> unit
     itself runs in {!stop}. *)
 
 val stop_requested : t -> bool
+(** Also true once the loop has failed outside any one request: it
+    hangs up on every session, unbinds, and flags the stop itself, and
+    {!stop} re-raises the failure.  A caller that polls this function
+    and then calls {!stop} sees the failure instead of a silent
+    server. *)
 
 val stop : t -> unit
-(** Graceful shutdown: join the acceptors, close the listen socket,
-    drain sessions (see above), and record [net.shutdown.drain.seconds].
-    Idempotent. *)
+(** Graceful shutdown: flag the loop, which closes the listen socket,
+    drains sessions (see above) and records
+    [net.shutdown.drain.seconds]; then join its domain, re-raising the
+    loop's failure if it had one.  Idempotent. *)
 
 val active_connections : t -> int
 val drain_seconds : t -> float

@@ -37,21 +37,11 @@ let source_of r =
 
 let on = ref false
 
-(* The collector is a single global slot, which is only sound with one
-   writer.  Worker domains therefore never record: off the main domain
-   the layer reports itself disabled and resolution takes the plain
-   (allocation-free) path. *)
-(* The server's handler threads live in acceptor domains (never the
-   main domain), but every kernel entry there is serialised through one
-   gate mutex — so a domain whose kernel calls are externally
-   serialised may be granted recording.  The permit is domain-local:
-   other domains keep the default [false] and still resolve through the
-   plain path. *)
-let permit_key = Domain.DLS.new_key (fun () -> false)
-let permit_domain () = Domain.DLS.set permit_key true
-
-let enabled () =
-  !on && (Domain.is_main_domain () || Domain.DLS.get permit_key)
+(* The collector is a single global slot, which is sound because the
+   kernel has a single owner: one domain at a time resolves reads (the
+   network server's loop, or the caller in process), so there is one
+   writer. *)
+let enabled () = !on
 
 let enable () = on := true
 

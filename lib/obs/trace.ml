@@ -30,11 +30,9 @@ let set_slow_threshold t = threshold := t
 
 (* Trace context: the id of the designer operation the running code is
    serving, stamped onto every span recorded while set.  One global
-   slot, deliberately not DLS: the server only sets it while holding
-   its kernel gate (one kernel entry at a time, whatever thread or
-   domain carries it), and the CLI is single-threaded — so there is
-   never more than one writer, and DLS would actually be wrong (handler
-   threads share their acceptor domain's slots). *)
+   slot, deliberately not DLS: the kernel has a single owner, and the
+   server's loop sets and clears it around each request (the CLI is
+   single-threaded), so there is never more than one writer. *)
 let trace_slot = ref None
 let set_current_trace id = trace_slot := id
 let current_trace () = !trace_slot
@@ -95,8 +93,8 @@ let record sp =
       end)
 
 (* the current trace context rides along as a ["trace"] attribute, so a
-   kernel span recorded under the server's gate carries the id of the
-   wire request that caused it *)
+   kernel span recorded while the server serves a request carries the
+   id of the wire request that caused it *)
 let stamp_trace attrs =
   match !trace_slot with
   | None -> attrs

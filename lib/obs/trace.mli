@@ -30,7 +30,7 @@ val note :
 (** Record an externally timed span into the ring {e without} feeding a
     histogram (unlike {!with_span}) — for callers that measure an
     interval themselves and keep their own metric families, e.g. the
-    server's gate wait/hold profiler.  No-op while metrics are off. *)
+    server's per-request span.  No-op while metrics are off. *)
 
 (** {1 Trace context}
 
@@ -38,9 +38,9 @@ val note :
     recorded span carries it as a [("trace", id)] attribute, so the
     kernel spans executed on behalf of one designer operation are
     reconstructable from the ring.  The slot is a single global, not
-    domain-local: the server only sets it while holding its kernel gate
-    (one kernel entry at a time), and the CLI is single-threaded, so
-    there is exactly one writer. *)
+    domain-local: it is set by the kernel's single owner (the server's
+    loop sets and clears it around each request; the CLI is
+    single-threaded), so there is exactly one writer. *)
 
 val set_current_trace : string option -> unit
 val current_trace : unit -> string option

@@ -155,12 +155,11 @@ let acquire_hier mg txn s mode =
 
 (* Run [f] with hooks that lock every entity the operation touches.  Reads
    of inherited data notify per transmitter hop, which is exactly the
-   paper's lock inheritance.  The whole window — install, operate,
-   remove — runs under the store's write latch: hooks are process-wide
-   store state, and a select on another domain latching in mid-window
-   would fire them (taking locks for a transaction it is not part of). *)
+   paper's lock inheritance.  Hooks are store-wide state, installed for
+   this one call and removed after it: sound because the kernel has a
+   single owner, so no other caller's read can run inside the window
+   and fire them for a transaction it is not part of. *)
 let with_lock_hooks mg txn f =
-  Store.exclusively mg.mg_store @@ fun () ->
   let rh =
     Store.add_read_hook mg.mg_store (fun s ->
         match acquire_hier mg txn s Lock.S with
@@ -187,9 +186,14 @@ let subclass_members mg txn s name =
   let* () = check_active txn in
   with_lock_hooks mg txn (fun () -> Inheritance.subclass_members mg.mg_store s name)
 
+(* A store mutator fires its write hook after it has changed the store,
+   so a lock the hook is refused would leave the refused write behind
+   with no undo: the mutators below take the X lock on the entity they
+   notify before they write. *)
 let set_attr mg txn s name value =
   let* () = check_active txn in
   let* old = Store.local_attr mg.mg_store s name in
+  let* () = acquire_hier mg txn s Lock.X in
   let* () =
     with_lock_hooks mg txn (fun () -> Store.set_attr mg.mg_store s name value)
   in
@@ -198,7 +202,7 @@ let set_attr mg txn s name value =
   Ok ()
 
 let created mg txn s =
-  (* lock the new entity exclusively and undo by force-deleting it *)
+  (* X-lock the new entity and undo by force-deleting it *)
   let* () = acquire_hier mg txn s Lock.X in
   push_undo txn (fun () -> ignore (Store.delete mg.mg_store ~force:true s));
   Ok s
@@ -213,6 +217,7 @@ let new_object mg txn ?cls ~ty ?(attrs = []) () =
 
 let new_subobject mg txn ~parent ~subclass ?(attrs = []) () =
   let* () = check_active txn in
+  let* () = acquire_hier mg txn parent Lock.X in
   let* s =
     with_lock_hooks mg txn (fun () ->
         Store.create_subobject mg.mg_store ~parent ~subclass attrs)
@@ -221,6 +226,7 @@ let new_subobject mg txn ~parent ~subclass ?(attrs = []) () =
 
 let new_subrel mg txn ~parent ~subrel ~participants ?(attrs = []) () =
   let* () = check_active txn in
+  let* () = acquire_hier mg txn parent Lock.X in
   let* s =
     with_lock_hooks mg txn (fun () ->
         Store.create_subrel mg.mg_store ~parent ~subrel ~participants ~attrs ())

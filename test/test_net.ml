@@ -25,8 +25,10 @@ let fresh_socket () =
 
 (* boot a gates-scenario server on a throwaway socket, run [f], always
    stop the server (Server.stop is idempotent, so tests that stop it
-   themselves are fine) *)
-let with_server ?(drain = 5.) ?(idle = 300.) f =
+   themselves are fine).  The server's loop owns [db] while it runs: a
+   test reads [db] directly only between the replies of its own
+   synchronous client, when the loop has no request to serve. *)
+let with_server ?(drain = 5.) ?(idle = 300.) ?(read_timeout = 10.) f =
   let path = fresh_socket () in
   let db = Database.create () in
   ok (Compo_scenarios.Gates.define_schema db);
@@ -34,8 +36,8 @@ let with_server ?(drain = 5.) ?(idle = 300.) f =
   let cfg =
     {
       (Server.default_config ~socket_path:path) with
-      accept_domains = 1;
       idle_timeout = idle;
+      read_timeout;
       drain_deadline = drain;
     }
   in
@@ -237,13 +239,148 @@ let test_idle_timeout_disconnects () =
       | Ok () -> Alcotest.fail "idle session must have been disconnected");
       Client.close c)
 
+(* The loop must never wait on one peer.  A raw session: handshake,
+   then frames by hand; [SO_RCVTIMEO] turns a server that stopped
+   answering into a failed read instead of a hung test. *)
+let raw_session path =
+  let fd = raw_connect path in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+  P.write_frame fd
+    (P.encode_request ~id:1
+       (P.Open_session { magic = P.magic; version = P.version; user = "raw" }));
+  (match P.read_frame fd with
+  | Ok body -> (
+      match P.decode_response body with
+      | Ok (1, P.Ok_session _) -> ()
+      | _ -> Alcotest.fail "raw handshake refused")
+  | Error _ -> Alcotest.fail "raw handshake unanswered");
+  fd
+
+let raw_ping fd id =
+  P.write_frame fd (P.encode_request ~id P.Ping);
+  match P.read_frame fd with
+  | Ok body -> (
+      match P.decode_response body with
+      | Ok (id', P.Ok_unit) when id' = id -> ()
+      | _ -> Alcotest.fail "ping: unexpected response")
+  | Error _ -> Alcotest.fail "ping unanswered: the loop is stuck on another peer"
+
+let protocol_errors () = Compo_obs.Metrics.counter_value "net.protocol.errors"
+
+(* a peer that sends half a frame and stalls holds up nobody, and is cut
+   with a protocol error at [read_timeout] *)
+let test_half_frame_stalls_only_itself () =
+  let read_timeout = 1.0 in
+  with_server ~read_timeout (fun _srv path _db _impls ->
+      let module Metrics = Compo_obs.Metrics in
+      Metrics.enable ();
+      Fun.protect ~finally:Metrics.disable (fun () ->
+          let before = protocol_errors () in
+          let staller = raw_connect path in
+          let frame = P.encode_request ~id:1 P.Ping in
+          let len = String.length frame in
+          let half = Bytes.create (4 + (len / 2)) in
+          Bytes.set_int32_le half 0 (Int32.of_int len);
+          Bytes.blit_string frame 0 half 4 (len / 2);
+          ignore (Unix.write staller half 0 (Bytes.length half));
+          let t0 = Unix.gettimeofday () in
+          let other = raw_session path in
+          for id = 2 to 21 do
+            raw_ping other id;
+            Thread.delay 0.02
+          done;
+          Alcotest.(check bool)
+            "the other session was served before the staller's timeout" true
+            (Unix.gettimeofday () -. t0 < read_timeout);
+          expect_protocol_error staller "stalled half frame";
+          Alcotest.(check bool)
+            "the staller was cut at its read timeout, not before" true
+            (Unix.gettimeofday () -. t0 >= 0.9 *. read_timeout);
+          Alcotest.(check bool)
+            "net.protocol.errors rose" true (protocol_errors () > before);
+          raw_ping other 22;
+          Unix.close other))
+
+(* a client that pipelines and never reads its replies backs up into its
+   own socket; another session is still served *)
+let test_unread_replies_stall_only_their_reader () =
+  with_server (fun _srv path _db impls ->
+      let hog = raw_session path in
+      Unix.set_nonblock hog;
+      let frame id =
+        let body =
+          P.encode_request ~id (P.Get_attr { obj = impls.(id mod 8); attr = "Length" })
+        in
+        let b = Bytes.create (4 + String.length body) in
+        Bytes.set_int32_le b 0 (Int32.of_int (String.length body));
+        Bytes.blit_string body 0 b 4 (String.length body);
+        b
+      in
+      (* write until the socket has refused more for 0.5 s: the server
+         has stopped reading this peer *)
+      let sent = ref 0 and idle = ref 0 and pending = ref Bytes.empty in
+      let off = ref 0 in
+      while !idle < 50 && !sent < 500_000 do
+        if !off = Bytes.length !pending then begin
+          incr sent;
+          pending := frame (!sent + 1);
+          off := 0
+        end;
+        match Unix.single_write hog !pending !off (Bytes.length !pending - !off) with
+        | n ->
+            off := !off + n;
+            idle := 0
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            incr idle;
+            Thread.delay 0.01
+      done;
+      Alcotest.(check bool) "the server pushed back" true (!idle >= 50);
+      let other = raw_session path in
+      for id = 2 to 11 do
+        raw_ping other id
+      done;
+      Unix.close hog;
+      raw_ping other 12;
+      Unix.close other)
+
+(* the loop times every request it serves twice: its wait in the loop
+   ([server.gate.wait_seconds]) and its kernel call
+   ([server.gate.hold_seconds]); perfbench's designer reads both *)
+let test_loop_times_every_request () =
+  with_server (fun _srv path _db impls ->
+      let module Metrics = Compo_obs.Metrics in
+      Metrics.enable ();
+      Fun.protect ~finally:Metrics.disable (fun () ->
+          let wait = Metrics.histogram "server.gate.wait_seconds"
+          and hold = Metrics.histogram "server.gate.hold_seconds" in
+          let counts () =
+            (Metrics.counter_value "net.requests", Metrics.observations wait,
+             Metrics.observations hold)
+          in
+          let r0, w0, h0 = counts () in
+          let c = cok (Client.connect path) in
+          let ids =
+            List.init 8 (fun i ->
+                cok (Client.send c (P.Get_attr { obj = impls.(i); attr = "Length" })))
+          in
+          List.iter (fun _ -> ignore (cok (Client.recv c))) ids;
+          cok (Client.ping c);
+          (* the ping's reply is queued after its timings are recorded *)
+          let r1, w1, h1 = counts () in
+          Client.close c;
+          Alcotest.(check int) "open_session, 8 reads and a ping" 10 (r1 - r0);
+          Alcotest.(check int) "one wait per request" (r1 - r0) (w1 - w0);
+          Alcotest.(check int) "one hold per request" (r1 - r0) (h1 - h0);
+          Alcotest.(check bool) "times are not negative" true
+            (Metrics.sum wait >= 0. && Metrics.sum hold >= 0.)))
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
 (* acceptance: a trace id sampled by the client shows up server-side in
-   the span ring (server span + gated kernel spans) and in the
+   the span ring (server span + kernel spans) and in the
    provenance record of the inherited read it caused *)
 let test_trace_propagation () =
   with_server (fun _srv path _db impls ->
@@ -280,7 +417,7 @@ let test_trace_propagation () =
                  && List.mem ("trace", tid) sp.Trace.sp_attrs)
                spans);
           Alcotest.(check bool)
-            "a gated kernel span carries the wire trace id" true
+            "a kernel span carries the wire trace id" true
             (List.exists
                (fun (sp : Trace.span) ->
                  sp.Trace.sp_name <> "net.server.request"
@@ -419,4 +556,10 @@ let suite =
         test_shutdown_drains_open_transaction;
       Alcotest.test_case "shutdown aborts straggler" `Quick
         test_shutdown_aborts_straggler;
+      Alcotest.test_case "half frame stalls only its sender" `Quick
+        test_half_frame_stalls_only_itself;
+      Alcotest.test_case "unread replies stall only their reader" `Quick
+        test_unread_replies_stall_only_their_reader;
+      Alcotest.test_case "loop times every request" `Quick
+        test_loop_times_every_request;
     ] )

@@ -260,39 +260,6 @@ let test_escape_hatch_disables () =
   check_value "again" (Value.Int 4) (ok (Database.get_attr db impl "Length"));
   check_int "nothing was memoised" 0 (Resolve_cache.size (Store.resolve_cache store))
 
-(* Multi-domain safety: 4 domains resolve inherited reads concurrently
-   against a frozen store, each filling and hitting its own shard.
-   Against the pre-sharding implementation (one Hashtbl mutated from
-   every domain) this crashes or corrupts; against the pre-atomic
-   generation it loses counter updates.  The exact-accounting invariant
-   [lookups = hits + misses] must hold even under this interleaving. *)
-let test_parallel_resolution () =
-  with_metrics @@ fun () ->
-  let db = Database.create () in
-  ok (W.chain_schema db ~depth:5);
-  let nodes = ok (W.chain_instance db ~depth:5 ~payload:9) in
-  let targets = Array.of_list nodes in
-  let doms = 4 and per = 5_000 in
-  let hs =
-    List.init doms (fun d ->
-        Stdlib.Domain.spawn (fun () ->
-            let bad = ref 0 in
-            for i = 0 to per - 1 do
-              let s = targets.((i + d) mod Array.length targets) in
-              match Database.get_attr db s "Payload" with
-              | Ok (Value.Int 9) -> ()
-              | Ok _ | Error _ -> incr bad
-            done;
-            !bad))
-  in
-  let bad = List.fold_left (fun acc h -> acc + Stdlib.Domain.join h) 0 hs in
-  check_int "every concurrent read resolved to the transmitted value" 0 bad;
-  check_int "lookups = hits + misses" (Resolve_cache.lookups ())
-    (Resolve_cache.hits () + Resolve_cache.misses ());
-  (* the shards served real traffic: far more lookups than cold misses *)
-  check_bool "shards served hits" true
-    (Resolve_cache.hits () > Resolve_cache.misses ())
-
 let suite =
   ( "resolve_cache",
     [
@@ -311,7 +278,5 @@ let suite =
       case "a fill raced by an invalidation dies" test_stale_fill_dies;
       case "capacity bounds the table" test_capacity_bounds_table;
       case "per-store escape hatch disables memoisation" test_escape_hatch_disables;
-      case "4 domains resolve concurrently, accounting stays exact"
-        test_parallel_resolution;
       case "a write kills exactly the entries it sourced" test_source_floor_is_exact;
     ] )

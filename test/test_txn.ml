@@ -53,6 +53,24 @@ let test_basic_locking () =
   ok (T.commit mg t2);
   check_value "write survived commit" (Value.Int 9) (ok (Database.get_attr db g "Length"))
 
+(* A refused write must not reach the store: the reader keeps seeing
+   the value it locked, and aborting the writer leaves nothing behind. *)
+let test_refused_write_leaves_no_trace () =
+  let db, mg = setup () in
+  let g = ok (G.new_simple_gate db ~func:"AND" ~length:4 ~width:2) in
+  let reader = T.begin_txn mg ~user:"alice" in
+  let writer = T.begin_txn mg ~user:"bob" in
+  check_value "reader locks the value" (Value.Int 4) (ok (T.get_attr mg reader g "Length"));
+  expect_error
+    (function Errors.Lock_error _ -> true | _ -> false)
+    (T.set_attr mg writer g "Length" (Value.Int 9));
+  check_value "the refused value never landed" (Value.Int 4)
+    (ok (Database.get_attr db g "Length"));
+  ok (T.abort mg writer);
+  ok (T.commit mg reader);
+  check_value "and nothing surfaced later" (Value.Int 4)
+    (ok (Database.get_attr db g "Length"))
+
 let test_upgrade_same_txn () =
   let db, mg = setup () in
   let g = ok (G.new_simple_gate db ~func:"AND" ~length:4 ~width:2) in
@@ -440,4 +458,5 @@ let suite =
       case "lock hooks removed on a foreign exception" test_lock_hooks_removed_on_foreign_exception;
       case "rights re-checked on held locks" test_rights_rechecked_on_held_locks;
       case "read locks equal attr_lock_set (depth 0-16)" test_read_locks_equal_attr_lock_set;
+      case "a refused write leaves no trace" test_refused_write_leaves_no_trace;
     ] )
