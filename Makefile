@@ -89,27 +89,26 @@ fmt-check:
 bench: build
 	dune exec bench/main.exe
 
-# CI-sized benchmark: E1, the lock-path experiments E6 (lock
-# inheritance) and E12 (deadlock detection), the resolve-cache sweep E15, the
-# provenance-overhead sweep E16, the recovery-time sweep E17, the
-# compiled-plan sweep E21 and the delta-maintenance sweep E22 on small
-# grids.  Fails if the cached read path is slower than the uncached
-# one, if the compiled engine is less than 3x the interpreted one
-# (skips on 1-core runners), if
-# delta-maintained plan state is less than 2x full rebuild on the 20%
-# write mix (same 1-core skip), or if any experiment does not produce
-# its JSON report.  Smoke reports go to _build/bench-smoke/, so the
-# committed full-grid BENCH_*.json in the repo root stay untouched.
-SMOKE_REPORTS = resolve_cache provenance recovery compiled plan_delta
+# CI-sized benchmark: E1, the chain-walk read sweep E2 (ungated), the
+# lock-path experiments E6 (lock inheritance) and E12 (deadlock
+# detection), the provenance-overhead sweep E16, the recovery-time sweep
+# E17, the compiled-plan sweep E21 and the delta-maintenance sweep E22
+# on small grids.  Fails if the compiled engine is less than 3x the
+# interpreted one (skips on 1-core runners), if delta-maintained plan
+# state is less than 2x full rebuild on the 20% write mix (same 1-core
+# skip), or if any experiment does not produce its JSON report.  Smoke
+# reports go to _build/bench-smoke/, so the committed full-grid
+# BENCH_*.json in the repo root stay untouched.
+SMOKE_REPORTS = provenance recovery compiled plan_delta
 
 bench-smoke: build
-	dune exec bench/main.exe -- --smoke --check-speedup 1.0 --check-compiled-speedup 3 --check-delta-speedup 2 E1 E6 E12 E15 E16 E17 E21 E22
+	dune exec bench/main.exe -- --smoke --check-compiled-speedup 3 --check-delta-speedup 2 E1 E2 E6 E12 E16 E17 E21 E22
 	for r in $(SMOKE_REPORTS); do test -s _build/bench-smoke/BENCH_$$r.json || exit 1; done
 
-# Ablation matrix (E20): enumerate configuration cells (resolve cache
-# on/off, index planning on/off, compiled engine on/off, delta
-# maintenance on/off, provenance on/off, failpoints armed) and run the
-# curated E2/E9/E10/E15 suite in a fresh bench subprocess per cell.
+# Ablation matrix (E20): enumerate configuration cells (index planning
+# on/off, compiled engine on/off, delta maintenance on/off, provenance
+# on/off, failpoints armed) and run the curated E2/E9/E10 suite in a
+# fresh bench subprocess per cell.
 # Every outcome, failures included, is a row of the report.  `matrix`
 # writes a fresh BENCH_matrix.fresh.json; `matrix-baseline` refreshes
 # the committed BENCH_matrix.json.
@@ -123,9 +122,9 @@ matrix-baseline: build
 # Outcome flips (ok -> failed, baseline cell missing) gate sharply;
 # wall-time gates are deliberately loose (5x over a 1 s floor) because
 # the baseline and the runner are different machines — the machine-
-# independent signals (eval.node, e15.min_speedup) carry the behavioural
-# diff.  SKIPPED rows (older matrices recorded cells a runner had too
-# few cores for) render loudly but do not fail.
+# independent signal (eval.node) carries the behavioural diff.  SKIPPED
+# rows (older matrices recorded cells a runner had too few cores for)
+# render loudly but do not fail.
 matrix-check: matrix
 	dune exec bin/compo_cli.exe -- benchdiff BENCH_matrix.json BENCH_matrix.fresh.json --time-ratio 5 --time-floor 1
 
@@ -144,31 +143,35 @@ serve: build
 # `compo flightrec` parses — and finally SIGTERM the server and
 # require a clean drain.  The server binary is run straight from
 # _build so the signals reach it (dune exec does not forward them).
+# The loadgen report, flight-recorder dump and slowlog go to
+# _build/soak/, so the committed E19 series in BENCH_server.json and
+# `git status` stay untouched.
 SOAK_SOCK := /tmp/compo-soak.sock
+SOAK_DIR := _build/soak
 soak-check: build
-	rm -f $(SOAK_SOCK) soak-flightrec.json
-	COMPO_SLOW_MS=1 ./_build/default/bin/compo_server.exe --socket $(SOAK_SOCK) --demo gates --populate 512 --flightrec soak-flightrec.json & \
+	rm -rf $(SOAK_SOCK) $(SOAK_DIR)
+	mkdir -p $(SOAK_DIR)
+	COMPO_SLOW_MS=1 ./_build/default/bin/compo_server.exe --socket $(SOAK_SOCK) --demo gates --populate 512 --flightrec $(SOAK_DIR)/flightrec.json & \
 	  srv=$$!; \
 	  for i in $$(seq 1 50); do [ -S $(SOAK_SOCK) ] && break; sleep 0.1; done; \
 	  [ -S $(SOAK_SOCK) ] || { echo "soak-check: server never bound $(SOAK_SOCK)"; kill $$srv 2>/dev/null; exit 1; }; \
-	  COMPO_TRACE_SAMPLE=0.05 ./_build/default/bench/loadgen.exe --socket $(SOAK_SOCK) --connections 120 --duration 10 --check --json BENCH_server.json; \
+	  COMPO_TRACE_SAMPLE=0.05 ./_build/default/bench/loadgen.exe --socket $(SOAK_SOCK) --connections 120 --duration 10 --check --json $(SOAK_DIR)/BENCH_server.json; \
 	  gen=$$?; \
-	  ./_build/default/bin/compo_cli.exe slowlog --connect $(SOAK_SOCK) > soak-slowlog.txt; \
+	  ./_build/default/bin/compo_cli.exe slowlog --connect $(SOAK_SOCK) > $(SOAK_DIR)/slowlog.txt; \
 	  slow=$$?; \
 	  kill -USR1 $$srv; \
-	  for i in $$(seq 1 50); do [ -s soak-flightrec.json ] && break; sleep 0.1; done; \
+	  for i in $$(seq 1 50); do [ -s $(SOAK_DIR)/flightrec.json ] && break; sleep 0.1; done; \
 	  kill -TERM $$srv; \
 	  wait $$srv; drained=$$?; \
 	  [ $$gen -eq 0 ] || { echo "soak-check: load generator failed"; exit 1; }; \
 	  [ $$slow -eq 0 ] || { echo "soak-check: slowlog fetch over the wire failed"; exit 1; }; \
-	  grep -q 'slow-query log: [1-9]' soak-slowlog.txt || { echo "soak-check: no slow query captured at a 1 ms threshold"; cat soak-slowlog.txt; exit 1; }; \
+	  grep -q 'slow-query log: [1-9]' $(SOAK_DIR)/slowlog.txt || { echo "soak-check: no slow query captured at a 1 ms threshold"; cat $(SOAK_DIR)/slowlog.txt; exit 1; }; \
 	  [ $$drained -eq 0 ] || { echo "soak-check: server did not drain cleanly (exit $$drained)"; exit 1; }
-	test -s BENCH_server.json
-	grep -q '"per_op"' BENCH_server.json
-	test -s soak-flightrec.json
-	./_build/default/bin/compo_cli.exe flightrec soak-flightrec.json > soak-flightrec.txt
-	grep -q 'flight recorder: [1-9]' soak-flightrec.txt
-	rm -f soak-slowlog.txt soak-flightrec.txt
+	test -s $(SOAK_DIR)/BENCH_server.json
+	grep -q '"per_op"' $(SOAK_DIR)/BENCH_server.json
+	test -s $(SOAK_DIR)/flightrec.json
+	./_build/default/bin/compo_cli.exe flightrec $(SOAK_DIR)/flightrec.json > $(SOAK_DIR)/flightrec.txt
+	grep -q 'flight recorder: [1-9]' $(SOAK_DIR)/flightrec.txt
 
 # Mirrors .github/workflows/ci.yml so the pipeline is reproducible
 # locally with one command.
@@ -179,4 +182,4 @@ clean:
 	dune clean
 	rm -f BENCH_*.metrics.json obs-check.om obs-check.live.om torture-check.log
 	rm -f BENCH_matrix.fresh.json
-	rm -f soak-flightrec.json soak-flightrec.txt soak-slowlog.txt *.flightrec.json
+	rm -f *.flightrec.json

@@ -406,8 +406,11 @@ let () =
   in
   write_json ~path:!json ~socket:socket_path ~self_hosted ~duration:!duration
     ~pipeline:!pipeline ~populate:!populate ~drain ~forced ~op_samples points;
-  Metrics.snapshot_to_file "BENCH_server.metrics.json";
-  say "wrote BENCH_server.metrics.json";
+  (* the snapshot sits beside the report: BENCH_server.metrics.json for
+     the default --json *)
+  let snapshot = Filename.remove_extension !json ^ ".metrics.json" in
+  Metrics.snapshot_to_file snapshot;
+  say "wrote %s" snapshot;
   let proto_total = List.fold_left (fun acc p -> acc + p.proto_errors) 0 points in
   if !check then
     if proto_total > 0 then begin

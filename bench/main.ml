@@ -2,26 +2,22 @@
    qualitatively (DESIGN.md section 4 maps each to the paper's sections;
    EXPERIMENTS.md records the measured series).
 
-   Usage: bench [E1 E15 ...] [--smoke] [--no-resolve-cache]
-                [--check-speedup MIN] [--check-compiled-speedup MIN]
+   Usage: bench [E1 E2 ...] [--smoke] [--check-compiled-speedup MIN]
                 [--check-delta-speedup MIN] [--no-bechamel]
 
-   With no experiment names, all of E1..E17, E21, E22 plus the Bechamel
-   group run.
+   With no experiment names, all of E1..E14, E16, E17, E21, E22 plus the
+   Bechamel group run.
    --smoke shrinks the parameter sweeps to CI-sized grids and writes the
    reports below to _build/bench-smoke/ instead of the repo root.
-   --no-resolve-cache disables the inheritance-resolution cache globally
-   (E15 still compares both arms by toggling the per-store switch).
-   --check-speedup MIN exits non-zero if E15's worst cached/uncached
-   speedup falls below MIN — the CI gate.  --check-compiled-speedup and
-   --check-delta-speedup gate E21's and E22's ratios the same way.
+   --check-compiled-speedup MIN exits non-zero if E21's worst
+   compiled/interpreted ratio falls below MIN, and --check-delta-speedup
+   gates E22's ratio the same way — the CI gates.
 
    Output: for every experiment a parameter-sweep table, then a Bechamel
-   micro-benchmark group over the headline operations; E15, E16, E17,
-   E21 and E22 additionally write their series to
-   BENCH_resolve_cache.json, BENCH_provenance.json, BENCH_recovery.json,
-   BENCH_compiled.json and BENCH_plan_delta.json (each with a
-   *.metrics.json registry snapshot companion). *)
+   micro-benchmark group over the headline operations; E16, E17, E21 and
+   E22 additionally write their series to BENCH_provenance.json,
+   BENCH_recovery.json, BENCH_compiled.json and BENCH_plan_delta.json
+   (each with a *.metrics.json registry snapshot companion). *)
 
 open Compo_core
 module G = Compo_scenarios.Gates
@@ -89,11 +85,6 @@ let with_snapshot name f =
     say "";
     say "metrics snapshot:";
     print_string (Compo_obs.Metrics.dump ());
-    say "resolve cache: %d hit(s), %d miss(es), %d invalidation(s) (%d scoped, %d global)"
-      (Resolve_cache.hits ()) (Resolve_cache.misses ())
-      (Resolve_cache.invalidations ())
-      (Resolve_cache.invalidations_scoped ())
-      (Resolve_cache.invalidations_global ());
     (* the machine-readable twin of the dump above, one file per
        experiment, so a benchmark run carries its metric snapshot *)
     write_snapshot name;
@@ -582,110 +573,6 @@ let e14 () =
     [ 0; 8; 64 ]
 
 (* ------------------------------------------------------------------ *)
-(* E15: inheritance-resolution cache (generation-stamped memo table)   *)
-
-(* (depth, fanout, cached us/sweep, uncached us/sweep, speedup, hits,
-   misses) per grid point; kept for the JSON report and --check-speedup *)
-let e15_results :
-    (int * int * float * float * float * int * int) list ref =
-  ref []
-
-let write_e15_json () =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"experiment\": \"E15\",\n";
-  Buffer.add_string buf
-    "  \"description\": \"repeated inherited reads, resolve cache on vs \
-     off, over chain depth x leaf fanout\",\n";
-  Printf.bprintf buf "  \"smoke\": %b,\n" !smoke;
-  Buffer.add_string buf "  \"rows\": [\n";
-  let n = List.length !e15_results in
-  List.iteri
-    (fun i (depth, fanout, cached, uncached, speedup, hits, misses) ->
-      Printf.bprintf buf
-        "    { \"depth\": %d, \"fanout\": %d, \"cached_us_per_sweep\": %.3f, \
-         \"uncached_us_per_sweep\": %.3f, \"speedup\": %.2f, \"hits\": %d, \
-         \"misses\": %d }%s\n"
-        depth fanout cached uncached speedup hits misses
-        (if i = n - 1 then "" else ","))
-    !e15_results;
-  Buffer.add_string buf "  ],\n";
-  let speedups = List.map (fun (_, _, _, _, sp, _, _) -> sp) !e15_results in
-  let worst = List.fold_left min infinity speedups in
-  let best = List.fold_left max neg_infinity speedups in
-  Printf.bprintf buf "  \"min_speedup\": %.2f,\n" worst;
-  Printf.bprintf buf "  \"max_speedup\": %.2f\n" best;
-  Buffer.add_string buf "}\n";
-  (* the counted passes ran with metrics on, so the registry carries the
-     hit/miss traffic behind the table above; ship it with the report *)
-  write_report "resolve_cache" ~rows:n (Buffer.contents buf)
-
-let e15 () =
-  header "E15"
-    "inheritance-resolution cache: repeated inherited reads, cache on vs \
-     off, by chain depth x leaf fanout";
-  e15_results := [];
-  say "%8s %8s %16s %16s %10s" "depth" "fanout" "cached (us)" "uncached (us)"
-    "speedup";
-  let grid =
-    if !smoke then [ (2, 1); (8, 2) ]
-    else [ (2, 1); (4, 2); (8, 2); (8, 8); (16, 4) ]
-  in
-  List.iter
-    (fun (depth, fanout) ->
-      let db = Database.create () in
-      ok (W.chain_schema db ~depth);
-      let nodes = ok (W.chain_instance db ~depth ~payload:7) in
-      let parent = List.nth nodes (depth - 1) in
-      let first_leaf = List.nth nodes depth in
-      (* [fanout - 1] extra leaves of the chain's leaf type, bound to the
-         shared parent (type names mirror Workload.chain_schema) *)
-      let leaf_ty = "Node" ^ string_of_int depth in
-      let leaf_rel = "AllOf_Node" ^ string_of_int (depth - 1) in
-      let extras =
-        List.init (fanout - 1) (fun _ ->
-            let leaf = ok (Database.new_object db ~ty:leaf_ty ()) in
-            let _ =
-              ok
-                (Database.bind db ~via:leaf_rel ~transmitter:parent
-                   ~inheritor:leaf ())
-            in
-            leaf)
-      in
-      let leaves = first_leaf :: extras in
-      let store = Database.store db in
-      let sweep () =
-        List.iter
-          (fun leaf -> ignore (ok (Database.get_attr db leaf "Payload")))
-          leaves
-      in
-      (* time_per's warm-up call also fills the cache, so the cached arm
-         measures the steady state the memo table exists for *)
-      Store.set_resolve_cache_enabled store true;
-      let cached = time_per ~batch:10 sweep in
-      Store.set_resolve_cache_enabled store false;
-      let uncached = time_per ~batch:10 sweep in
-      let speedup = uncached /. cached in
-      (* counted pass: disable cleared the table, so sweep one fills and
-         sweep two hits — the hit/miss deltas land in the JSON report *)
-      Store.set_resolve_cache_enabled store true;
-      let h0 = Resolve_cache.hits () and m0 = Resolve_cache.misses () in
-      Compo_obs.Metrics.enable ();
-      sweep ();
-      sweep ();
-      if not bench_metrics then Compo_obs.Metrics.disable ();
-      let hits = Resolve_cache.hits () - h0
-      and misses = Resolve_cache.misses () - m0 in
-      e15_results :=
-        (depth, fanout, us cached, us uncached, speedup, hits, misses)
-        :: !e15_results;
-      say "%8d %8d %16.3f %16.3f %9.1fx" depth fanout (us cached) (us uncached)
-        speedup)
-    grid;
-  e15_results := List.rev !e15_results;
-  write_e15_json ()
-
-(* ------------------------------------------------------------------ *)
 (* E16: provenance recording overhead (PR 3 observability layer)       *)
 
 (* (depth, off us/read, on us/read, ratio) per grid point *)
@@ -697,7 +584,7 @@ let write_e16_json () =
   Buffer.add_string buf "  \"experiment\": \"E16\",\n";
   Buffer.add_string buf
     "  \"description\": \"inherited read with the provenance collector on \
-     vs off, by chain depth (resolve cache disabled so both arms walk)\",\n";
+     vs off, by chain depth (both arms walk the chain)\",\n";
   Printf.bprintf buf "  \"smoke\": %b,\n" !smoke;
   Buffer.add_string buf "  \"rows\": [\n";
   let n = List.length !e16_results in
@@ -725,9 +612,6 @@ let e16 () =
       ok (W.chain_schema db ~depth);
       let nodes = ok (W.chain_instance db ~depth ~payload:7) in
       let leaf = List.nth nodes depth in
-      (* cache off so both arms walk the chain: the delta is pure
-         recording cost, not a hit-rate artifact *)
-      Store.set_resolve_cache_enabled (Database.store db) false;
       let read () = ignore (ok (Database.get_attr db leaf "Payload")) in
       let off = time_per ~batch:100 read in
       Compo_obs.Provenance.enable ();
@@ -804,9 +688,7 @@ let e17 () =
 
 (* Shared by E21/E22: [roots] independent chains of depth [depth];
    every node of every chain joins the "Pop" extent, so a candidate at
-   level k resolves Payload across k transmitter hops.  The resolve
-   cache is switched off so the per-candidate work is the real chain
-   walk.  Returns the database, the actual population and the chain
+   level k resolves Payload across k transmitter hops.  Returns the database, the actual population and the chain
    roots (E22's write mix rewrites root Payloads, dirtying exactly one
    subtree of resolution chains per write). *)
 let chain_population ~depth ~pop =
@@ -836,7 +718,6 @@ let chain_population ~depth ~pop =
       parent := s
     done
   done;
-  Store.set_resolve_cache_enabled (Database.store db) false;
   (db, nroots * (depth + 1), List.rev !roots)
 
 (* ------------------------------------------------------------------ *)
@@ -856,7 +737,7 @@ let write_e21_json ?(skipped = false) () =
   Buffer.add_string buf
     "  \"description\": \"compiled query plans (numeric kernel or closure \
      program over materialized resolved-value columns) vs the interpreted \
-     evaluator on chains of inheritors, resolve cache off\",\n";
+     evaluator on chains of inheritors\",\n";
   Printf.bprintf buf "  \"smoke\": %b,\n" !smoke;
   Printf.bprintf buf "  \"skipped\": %b,\n" skipped;
   Printf.bprintf buf "  \"cores\": %d,\n" (cores ());
@@ -883,7 +764,7 @@ let e21 () =
   header "E21"
     "compiled query plans: numeric kernel / closure program over \
      materialized columns vs the interpreted evaluator (chains of \
-     inheritors, resolve cache off)";
+     inheritors)";
   e21_results := [];
   say "%8s %10s %16s %14s %8s" "depth" "objects" "interp us" "compiled us"
     "ratio";
@@ -956,7 +837,7 @@ let write_e22_json ?(skipped = false) () =
 let e22 () =
   header "E22"
     "incremental plan maintenance: delta-patched columns vs full rebuild \
-     under a mixed read/write workload (E21's chains, resolve cache off)";
+     under a mixed read/write workload (E21's chains)";
   e22_results := [];
   say "%8s %10s %7s %14s %16s %8s" "depth" "objects" "write%" "delta us/op"
     "rebuild us/op" "ratio";
@@ -1124,13 +1005,12 @@ let experiments =
   [
     ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
     ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11);
-    ("E12", e12); ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16);
+    ("E12", e12); ("E13", e13); ("E14", e14); ("E16", e16);
     ("E17", e17); ("E21", e21); ("E22", e22);
   ]
 
 let usage () =
-  say "usage: bench [E1 .. E17, E21, E22 | bechamel ...] [--smoke] [--no-resolve-cache]";
-  say "             [--check-speedup MIN]";
+  say "usage: bench [E1 .. E14, E16, E17, E21, E22 | bechamel ...] [--smoke]";
   say "             [--check-compiled-speedup MIN] [--check-delta-speedup MIN]";
   say "             [--no-bechamel]";
   exit 2
@@ -1138,8 +1018,7 @@ let usage () =
 let () =
   (* honour the process-level switches the ablation matrix renders its
      cells into: COMPO_SLOW_MS/COMPO_TRACE_CAPACITY, COMPO_PROVENANCE,
-     COMPO_FAILPOINTS (COMPO_NO_RESOLVE_CACHE and COMPO_NO_INDEX are
-     read at module init).  Without these
+     COMPO_FAILPOINTS (COMPO_NO_INDEX is read at module init).  Without these
      calls an armed-failpoint or provenance-on cell would silently
      measure the same configuration as the baseline. *)
   Compo_obs.Trace.configure_from_env ();
@@ -1152,7 +1031,6 @@ let () =
   | Error msg ->
       say "bench: %s" msg;
       exit 2);
-  let check = ref None in
   let check_compiled = ref None in
   let check_delta = ref None in
   let no_bechamel = ref false in
@@ -1162,19 +1040,9 @@ let () =
     | "--smoke" :: rest ->
         smoke := true;
         parse rest
-    | "--no-resolve-cache" :: rest ->
-        Resolve_cache.set_default_enabled false;
-        parse rest
     | "--no-bechamel" :: rest ->
         no_bechamel := true;
         parse rest
-    | "--check-speedup" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some f ->
-            check := Some f;
-            parse rest
-        | None -> usage ())
-    | "--check-speedup" :: [] -> usage ()
     | "--check-compiled-speedup" :: v :: rest -> (
         match float_of_string_opt v with
         | Some f ->
@@ -1209,27 +1077,6 @@ let () =
     (String.concat " " to_run);
   List.iter (fun n -> with_snapshot n (List.assoc n experiments)) to_run;
   if run_bechamel then bechamel_group ();
-  (match !check with
-  | None -> ()
-  | Some min_required -> (
-      match !e15_results with
-      | [] ->
-          say "check-speedup: E15 did not run, nothing to gate on";
-          exit 2
-      | rows ->
-          let worst =
-            List.fold_left
-              (fun acc (_, _, _, _, sp, _, _) -> min acc sp)
-              infinity rows
-          in
-          if worst < min_required then begin
-            say "check-speedup: FAIL - worst E15 speedup %.2fx < required %.2fx"
-              worst min_required;
-            exit 1
-          end
-          else
-            say "check-speedup: OK - worst E15 speedup %.2fx >= %.2fx" worst
-              min_required));
   (match !check_compiled with
   | None -> ()
   | Some min_required -> (

@@ -1,7 +1,7 @@
 type axis = { ax_name : string; ax_values : string list }
 
 (* canonical axis order; ids and tables render in this order *)
-let canonical = [ "cache"; "index"; "compile"; "delta"; "prov"; "fp" ]
+let canonical = [ "index"; "compile"; "delta"; "prov"; "fp" ]
 
 let axis_rank name =
   let rec go i = function
@@ -35,8 +35,6 @@ let env t =
   List.concat_map
     (fun (axis, v) ->
       match (axis, v) with
-      | "cache", "off" -> [ ("COMPO_NO_RESOLVE_CACHE", "1") ]
-      | "cache", _ -> []
       | "index", "off" -> [ ("COMPO_NO_INDEX", "1") ]
       | "index", _ -> []
       | "compile", "off" -> [ ("COMPO_NO_COMPILE", "1") ]
@@ -75,12 +73,11 @@ let dedup cells =
 
 let default_cells () =
   let onoff name = { ax_name = name; ax_values = [ "on"; "off" ] } in
-  (* the main ablation block: every cache x index x compile x prov
-     combination, failpoints unarmed *)
+  (* the main ablation block: every index x compile x prov combination,
+     failpoints unarmed *)
   let base =
     product
       [
-        onoff "cache";
         onoff "index";
         onoff "compile";
         { ax_name = "delta"; ax_values = [ "on" ] };
@@ -94,7 +91,7 @@ let default_cells () =
     [
       make
         [
-          ("cache", "on"); ("index", "on"); ("compile", "on");
+          ("index", "on"); ("compile", "on");
           ("delta", "on"); ("prov", "off"); ("fp", "armed");
         ];
     ]
@@ -106,7 +103,7 @@ let default_cells () =
     [
       make
         [
-          ("cache", "on"); ("index", "on"); ("compile", "on");
+          ("index", "on"); ("compile", "on");
           ("delta", "off"); ("prov", "off"); ("fp", "off");
         ];
     ]

@@ -1,20 +1,20 @@
 (** Configuration cells of the ablation matrix.
 
     A cell is one point in the configuration space the kernel already
-    exposes through environment switches: resolve cache on/off, index
-    access paths on/off, compiled query engine on/off, incremental plan
-    maintenance (delta) on/off, provenance recording on/off, failpoint
-    machinery armed/unarmed.  The matrix runner
-    executes the same curated bench suite once per cell in a fresh
-    subprocess, so each axis's contribution is measured, not asserted
-    (docs/PERFORMANCE.md, "Ablation matrix").
+    exposes through environment switches: index access paths on/off,
+    compiled query engine on/off, incremental plan maintenance (delta)
+    on/off, provenance recording on/off, failpoint machinery
+    armed/unarmed.  The matrix runner executes the same curated bench
+    suite once per cell in a fresh subprocess, so each axis's
+    contribution is measured, not asserted (docs/PERFORMANCE.md,
+    "Ablation matrix").
 
-    Axis order is fixed (cache, index, compile, delta, prov, fp) and cell ids are
+    Axis order is fixed (index, compile, delta, prov, fp) and cell ids are
     derived from it, so ids are stable across runs and machines —
     [compo benchdiff] joins committed and fresh matrices on them. *)
 
 type axis = {
-  ax_name : string;  (** short id component, e.g. ["cache"] *)
+  ax_name : string;  (** short id component, e.g. ["index"] *)
   ax_values : string list;  (** e.g. [["on"; "off"]] *)
 }
 
@@ -30,7 +30,7 @@ val axes : t -> (string * string) list
 
 val id : t -> string
 (** Stable identifier, e.g.
-    ["cache=on index=on compile=on delta=on prov=off fp=off"]. *)
+    ["index=on compile=on delta=on prov=off fp=off"]. *)
 
 val value : t -> string -> string option
 (** The cell's value on one axis. *)
@@ -46,8 +46,8 @@ val dedup : t list -> t list
 (** Drop cells with duplicate ids, keeping first occurrences. *)
 
 val default_cells : unit -> t list
-(** The curated enumeration (18 cells): the full
-    cache x index x compile x prov product, a failpoints-armed flip of
+(** The curated enumeration (10 cells): the full
+    index x compile x prov product, a failpoints-armed flip of
     the baseline, and a delta-off flip of the baseline (compiled engine
     forced onto the full-rebuild path via [COMPO_NO_DELTA]). *)
 

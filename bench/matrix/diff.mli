@@ -13,7 +13,7 @@
     and only above [floor] seconds): the committed baseline and a CI
     runner are different machines, so tight time thresholds would gate
     on hardware.  Outcome changes and the machine-independent metrics
-    ([eval.node], the E15 speedup ratio) are the sharp signals. *)
+    ([eval.node]) are the sharp signals. *)
 
 type thresholds = {
   time_ratio : float;  (** fresh/base ratio that flags a regression *)

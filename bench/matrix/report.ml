@@ -58,8 +58,8 @@ let write_file path t =
   Buffer.add_string b "  \"experiment\": \"E20\",\n";
   Buffer.add_string b
     "  \"description\": \"ablation matrix: curated bench suite run once \
-     per configuration cell (resolve cache x index x compile x delta \
-     x provenance x failpoints), outcomes and skips as first-class rows\",\n";
+     per configuration cell (index x compile x delta x provenance x \
+     failpoints), outcomes and skips as first-class rows\",\n";
   Printf.bprintf b "  \"smoke\": %b,\n" t.m_smoke;
   Printf.bprintf b "  \"cores\": %d,\n" t.m_cores;
   Printf.bprintf b "  \"suite\": [%s],\n"

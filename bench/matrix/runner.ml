@@ -1,5 +1,4 @@
 module Metrics = Compo_obs.Metrics
-module J = Compo_obs.Json_min
 
 type config = {
   bench_exe : string;
@@ -11,8 +10,6 @@ type config = {
 
 let key_metrics =
   [
-    "inheritance.cache.hit";
-    "inheritance.cache.miss";
     "index.lookup";
     "ordered_index.lookup";
     "eval.node";
@@ -91,20 +88,7 @@ let harvest_metrics dir suite =
         Option.map (fun v -> (name, v)) (Hashtbl.find_opt merged name))
       key_metrics
   in
-  (* E15's report carries the cached/uncached speedup — a ratio, so it
-     diffs meaningfully across machines of different speeds *)
-  let e15 =
-    let path = Filename.concat dir "BENCH_resolve_cache.json" in
-    if Sys.file_exists path then
-      match J.parse_file path with
-      | Ok root -> (
-          match Option.bind (J.member "min_speedup" root) J.to_float with
-          | Some sp -> [ ("e15.min_speedup", sp) ]
-          | None -> [])
-      | Error _ -> []
-    else []
-  in
-  List.sort (fun (a, _) (b, _) -> String.compare a b) (keys @ e15)
+  List.sort (fun (a, _) (b, _) -> String.compare a b) keys
 
 (* last non-empty line of the cell log: the diagnostic that travels in
    a Failed outcome *)

@@ -2,7 +2,7 @@
 
     Each cell runs the same curated experiment suite in its own
     subprocess (a fresh process is the only way the [COMPO_*] init-time
-    switches — resolve cache default, index planning, failpoint arming
+    switches — index planning, the compiled engine, failpoint arming
     — are honestly applied) and in its own scratch directory, so cell
     runs never clobber the repo's committed [BENCH_*.json] files.  The
     runner scrubs every inherited [COMPO_*] variable before applying
@@ -18,9 +18,9 @@ type config = {
 
 val key_metrics : string list
 (** Registry metrics harvested per cell from the subprocess's obs
-    snapshots ([COMPO_BENCH_METRICS=1] companions): cache hit/miss
-    traffic, index lookups, evaluator node count, fired
-    failpoints (0 proves an armed cell's site never actually fired).
+    snapshots ([COMPO_BENCH_METRICS=1] companions): index lookups,
+    evaluator node count, fired failpoints (0 proves an armed cell's
+    site never actually fired).
     [eval.node] is machine-independent for a fixed suite, so it doubles
     as a behavioural invariant across runs. *)
 

@@ -27,7 +27,7 @@ let contains_substring hay needle =
 let () =
   let bench = ref "_build/default/bench/main.exe" in
   let out = ref "BENCH_matrix.json" in
-  let suite = ref [ "E2"; "E9"; "E10"; "E15" ] in
+  let suite = ref [ "E2"; "E9"; "E10" ] in
   let smoke = ref false in
   let only = ref None in
   let list_only = ref false in

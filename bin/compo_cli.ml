@@ -332,8 +332,7 @@ let cmd_demo scenario dir =
 (* ------------------------------------------------------------------ *)
 (* Observability: the stats command and the --metrics flag              *)
 
-let with_metrics ~no_resolve_cache metrics f =
-  if no_resolve_cache then Resolve_cache.set_default_enabled false;
+let with_metrics metrics f =
   if not metrics then f ()
   else begin
     Compo_obs.Metrics.enable ();
@@ -354,8 +353,8 @@ let rec remove_tree path =
   | false -> Sys.remove path
   | exception Sys_error _ -> ()
 
-(* Provenance of one inheritance-aware read: value, cache outcome,
-   source, and the full transmitter chain as an indented tree. *)
+(* Provenance of one inheritance-aware read: value, source, and the full
+   transmitter chain as an indented tree. *)
 let cmd_explain_read dir raw_id attr =
   with_journal dir (fun j ->
       let db = Compo_storage.Journal.db j in
@@ -490,14 +489,13 @@ let cmd_flightrec file =
              else "");
           Format.printf "%a@?" F.pp_events events)
 
-let cmd_stats files format line_protocol slow_ms no_resolve_cache connect =
+let cmd_stats files format line_protocol slow_ms connect =
   let module Obs = Compo_obs.Metrics in
   let module Trace = Compo_obs.Trace in
   let format = if line_protocol then `Line_protocol else format in
   match connect with
   | Some sock -> cmd_stats_connect sock format
   | None ->
-  if no_resolve_cache then Resolve_cache.set_default_enabled false;
   Obs.enable ();
   Trace.set_slow_threshold (slow_ms /. 1000.);
   (* schema files on the command line are elaborated first, so their
@@ -524,8 +522,7 @@ let cmd_stats files format line_protocol slow_ms no_resolve_cache connect =
   or_die (Compo_storage.Journal.set_attr j ff "Length" (Value.Int 12));
   or_die (Compo_storage.Journal.set_attr j iface "Width" (Value.Int 3));
   (* the implementation inherits Length/Width from its interface, so these
-     reads resolve across transmitter hops; the repetition exercises the
-     resolve cache (first pass fills, later passes hit) *)
+     reads resolve across transmitter hops, every pass walking the chain *)
   for _ = 1 to 3 do
     List.iter
       (fun name ->
@@ -570,16 +567,7 @@ let cmd_stats files format line_protocol slow_ms no_resolve_cache connect =
   | `Json -> print_string (Obs.to_json ())
   | `Table ->
       print_string (Obs.dump ());
-      let hits = Resolve_cache.hits () and misses = Resolve_cache.misses () in
-      Printf.printf
-        "\nresolve cache: %d hit(s), %d miss(es), %d invalidation(s) (%d \
-         scoped, %d global), hit rate %s\n"
-        hits misses
-        (Resolve_cache.invalidations ())
-        (Resolve_cache.invalidations_scoped ())
-        (Resolve_cache.invalidations_global ())
-        (Obs.ratio_string ~num:hits ~den:(hits + misses) ());
-      Printf.printf "spans recorded: %d\n" (Trace.recorded ());
+      Printf.printf "\nspans recorded: %d\n" (Trace.recorded ());
       (match Trace.slow_ops () with
       | [] -> ()
       | slow ->
@@ -599,25 +587,11 @@ let metrics_arg =
           "Collect kernel metrics while the command runs and dump the \
            registry to stderr afterwards.")
 
-let no_resolve_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-resolve-cache" ]
-        ~doc:
-          "Disable the generation-stamped inheritance-resolution cache: \
-           every inherited read walks the full transmitter chain.  \
-           Equivalent to COMPO_NO_RESOLVE_CACHE=1.")
-
 let dir_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR")
 
 (* [--metrics] must wrap the command body, so each term builds a thunk the
-   wrapper runs with the registry enabled; [--no-resolve-cache] must be
-   applied before any store is created *)
-let instrumented f =
-  Term.(
-    const (fun no_resolve_cache metrics f ->
-        with_metrics ~no_resolve_cache metrics f)
-    $ no_resolve_cache_arg $ metrics_arg $ f)
+   wrapper runs with the registry enabled *)
+let instrumented f = Term.(const with_metrics $ metrics_arg $ f)
 
 let check_cmd =
   let files = Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE.ddl") in
@@ -750,8 +724,7 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:"Run an instrumented workload and dump the metrics registry")
     Term.(
-      const cmd_stats $ files $ format $ line_protocol $ slow
-      $ no_resolve_cache_arg $ connect)
+      const cmd_stats $ files $ format $ line_protocol $ slow $ connect)
 
 let slowlog_cmd =
   let connect =
@@ -863,8 +836,8 @@ let explain_group =
            ~doc:
              "Provenance of one inheritance-aware attribute read: the \
               transmitter chain walked, the relationship object and \
-              permeability decision at each hop, the cache outcome, and \
-              the final source object")
+              permeability decision at each hop, and the final source \
+              object")
         Term.(
           const (fun dir id attr -> cmd_explain_read dir id attr)
           $ dir_arg $ id_arg $ attr_arg);
@@ -1048,8 +1021,6 @@ let () =
            COMPO_FAILPOINTS='wal.append.frame=torn' compo demo gates d";
       Cmd.Env.info "COMPO_SLOW_MS"
         ~doc:"Log operations slower than this many milliseconds.";
-      Cmd.Env.info "COMPO_NO_RESOLVE_CACHE"
-        ~doc:"Disable the inheritance-resolution cache.";
       Cmd.Env.info "COMPO_NO_COMPILE"
         ~doc:
           "Disable the compiled query engine (closure compilation and \

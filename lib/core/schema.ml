@@ -62,8 +62,8 @@ type t = {
      inheritor-in chain is fixed at definition time), so they are memoized;
      without the cache an inherited read costs O(depth^2) because every
      resolution hop would recompute its suffix of the chain. *)
-  attr_cache : (string, (attr_def * source) list) Hashtbl.t;
-  subclass_cache : (string, (subclass_def * source) list) Hashtbl.t;
+  effective_attr_memo : (string, (attr_def * source) list) Hashtbl.t;
+  effective_subclass_memo : (string, (subclass_def * source) list) Hashtbl.t;
 }
 
 let create () =
@@ -72,8 +72,8 @@ let create () =
     named_domains = Hashtbl.create 16;
     order = [];
     domain_order = [];
-    attr_cache = Hashtbl.create 64;
-    subclass_cache = Hashtbl.create 64;
+    effective_attr_memo = Hashtbl.create 64;
+    effective_subclass_memo = Hashtbl.create 64;
   }
 
 let ( let* ) = Result.bind
@@ -157,12 +157,12 @@ let rec effective_attrs_guarded t visited name =
             Ok (own @ inherited))
 
 let effective_attrs t name =
-  match Hashtbl.find_opt t.attr_cache name with
+  match Hashtbl.find_opt t.effective_attr_memo name with
   | Some cached -> Ok cached
   | None -> (
       match effective_attrs_guarded t [] name with
       | Ok attrs ->
-          Hashtbl.replace t.attr_cache name attrs;
+          Hashtbl.replace t.effective_attr_memo name attrs;
           Ok attrs
       | Error _ as e -> e)
 
@@ -195,12 +195,12 @@ let rec effective_subclasses_guarded t visited name =
             Ok (own @ inherited))
 
 let effective_subclasses t name =
-  match Hashtbl.find_opt t.subclass_cache name with
+  match Hashtbl.find_opt t.effective_subclass_memo name with
   | Some cached -> Ok cached
   | None -> (
       match effective_subclasses_guarded t [] name with
       | Ok subs ->
-          Hashtbl.replace t.subclass_cache name subs;
+          Hashtbl.replace t.effective_subclass_memo name subs;
           Ok subs
       | Error _ as e -> e)
 

@@ -76,15 +76,11 @@ type t = {
   (* reverse index: entity -> relationship entities referencing it as a
      participant, for referential integrity on delete *)
   referrer_index : Surrogate.t list Surrogate.Tbl.t;
-  cache : Resolve_cache.t;  (* memoised inherited-attribute resolutions *)
   mutable read_hooks : (int * (Surrogate.t -> unit)) list;
   mutable write_hooks : (int * (Surrogate.t -> unit)) list;
   mutable next_hook : int;
   (* mutation stamp for compiled plans: bumped by every data or
-     structural mutation (including class-extent changes), whether or
-     not the resolve cache is enabled — the cache generation freezes
-     while the cache is disabled, so it cannot serve as a staleness
-     signal on its own *)
+     structural mutation (including class-extent changes) *)
   mutable plan_epoch : int;
   mutable plan_slot : plan_slot option;
   (* change log: a ring holding the record of the bump to epoch [e] in
@@ -122,7 +118,6 @@ let create schema =
     classes = Hashtbl.create 16;
     class_order = [];
     referrer_index = Surrogate.Tbl.create 256;
-    cache = Resolve_cache.create ();
     read_hooks = [];
     write_hooks = [];
     next_hook = 1;
@@ -152,31 +147,7 @@ let changes_since t since =
       (List.init (t.plan_epoch - since) (fun i ->
            t.change_log.((since + 1 + i) mod change_log_cap)))
 
-(* ------------------------------------------------------------------ *)
-(* Resolve cache: generation plumbing                                  *)
-
-let resolve_cache t = t.cache
-let set_resolve_cache_enabled t b = Resolve_cache.set_enabled t.cache b
-
-(* The cache stands in for the chain walk, so it may only serve reads
-   when no read hooks are installed: hooks carry the per-hop
-   notifications the transaction layer turns into lock inheritance. *)
-let resolve_cache_status t =
-  if not (Resolve_cache.enabled t.cache) then `Disabled
-  else match t.read_hooks with [] -> `Active | _ :: _ -> `Hooked
-
-let resolve_cache_active t =
-  match resolve_cache_status t with
-  | `Active -> true
-  | `Disabled | `Hooked -> false
-
-let invalidate_resolve_cache t =
-  record_change t Ch_global;
-  Resolve_cache.invalidate_global t.cache
-
-(* for sites that record a precise change through [notify_write] but
-   still need the PR 2 machinery globally invalidated *)
-let invalidate_cache_only t = Resolve_cache.invalidate_global t.cache
+let record_global_change t = record_change t Ch_global
 
 let fresh_hook t =
   let id = t.next_hook in
@@ -568,8 +539,6 @@ let set_attr t s name value =
   let* () = check_attr_value t e.type_name (name, value) in
   Obs.incr m_attr_write;
   e.attrs <- Smap.add name value e.attrs;
-  (* every cached resolution of this value names [s] as its source *)
-  Resolve_cache.invalidate_scoped t.cache s;
   notify_write ~change:(Ch_attr (s, name)) t s;
   Ok ()
 
@@ -616,9 +585,6 @@ let set_participant t s name value =
         | None -> ());
         e.participants <- Smap.add name value e.participants;
         index_referrer t s value;
-        (* rewiring may change who an inheritance link names, so no scope
-           is safe to keep *)
-        invalidate_cache_only t;
         notify_write ~change:(Ch_touched s) t s;
         Ok ()
 
@@ -809,10 +775,9 @@ let add_inheritance_link t ~ty ~transmitter ~inheritor ~attrs =
   ie.bound <- Some { b_link = e.id; b_via = ty; b_transmitter = transmitter };
   te.inheritor_links <- e.id :: te.inheritor_links;
   (* binding changes what every transitive inheritor of [inheritor]
-     resolves to; the resolve cache drops globally, while the plan layer
-     gets a precise [Ch_rebound] it can scope through its dep tables *)
+     resolves to; the plan layer gets a precise [Ch_rebound] it can scope
+     through its dep tables *)
   record_change t (Ch_created e.id);
-  invalidate_cache_only t;
   notify_write ~change:(Ch_rebound inheritor) t inheritor;
   Ok e.id
 
@@ -855,7 +820,6 @@ let rec remove_inheritance_link t link =
     record_change t (Ch_deleted link);
     record_change t
       (match inheritor with Some i -> Ch_rebound i | None -> Ch_global);
-    invalidate_cache_only t;
     Ok ()
   end
 
@@ -925,7 +889,6 @@ and delete t ?(force = false) s =
   Obs.incr m_delete;
   Surrogate.Tbl.remove t.entities s;
   Surrogate.Tbl.remove t.written s;
-  invalidate_cache_only t;
   notify_write ~change:(Ch_deleted s) t s;
   Ok ()
 
@@ -938,7 +901,7 @@ let restore_entity t e =
   Surrogate.Gen.mark_used t.gen e.id;
   add_entity t e;
   Smap.iter (fun _ v -> index_referrer t e.id v) e.participants;
-  invalidate_resolve_cache t
+  record_global_change t
 
 let restore_class t ~name ~member_type ~members =
   Hashtbl.replace t.classes name

@@ -48,9 +48,8 @@ val schema : t -> Schema.t
     The query-compilation layer ({!Plan}, above this module) caches
     flattened adjacency arrays and materialized resolved-value columns
     per store.  Those caches are only valid against a frozen state, so
-    the store carries a monotonic mutation stamp that — unlike the
-    resolve-cache generation, which freezes while the cache is disabled
-    — advances on {e every} mutation: attribute writes, binding and
+    the store carries a monotonic mutation stamp that advances on
+    {e every} mutation: attribute writes, binding and
     participant changes, deletes, class-extent changes, schema
     evolution, restores.
 
@@ -107,48 +106,18 @@ val set_plan_slot : t -> plan_slot -> unit
 
 (** {1 Ownership}
 
-    A store, and everything that hangs off it (its resolve cache, its
-    compiled-plan slot, the transaction manager and the provenance
-    collector), has a single owner: callers serialise.  No mutator or
-    select takes a lock, and no two domains or threads may call into
-    the kernel at once.  The network server honours this by running
+    A store, and everything that hangs off it (its compiled-plan slot,
+    the transaction manager and the provenance collector), has a single
+    owner: callers serialise.  No mutator or select takes a lock, and
+    no two domains or threads may call into the kernel at once.  The network server honours this by running
     every request on one event-loop domain ([Compo_net.Server]); in
     process, the caller is the owner.  Lock conflicts between design
     transactions never block (the lock manager fails a conflicting
     acquisition at once), so serialising callers costs no waiting. *)
 
-(** {1 Resolve cache}
-
-    Every store owns a {!Resolve_cache.t} memoising inherited-attribute
-    resolutions.  The store is the single writer of entity state, so all
-    its write paths carry the generation plumbing: an attribute write
-    raises the floor of the written entity alone (scoped, O(1): cache
-    entries are keyed by the entity their value came from), while bind /
-    unbind / delete / participant rewiring / entity restore bump
-    globally.  {!Inheritance} performs the lookup → walk → fill. *)
-
-val resolve_cache : t -> Resolve_cache.t
-
-val resolve_cache_active : t -> bool
-(** True when the cache is enabled {e and} no read hooks are installed.
-    With hooks present a memoised read would skip the per-hop
-    notifications that implement lock inheritance, so the cache stands
-    down for the duration (transactional reads always walk). *)
-
-val resolve_cache_status : t -> [ `Active | `Disabled | `Hooked ]
-(** Why (or why not) the cache will serve the next read: [`Active] as
-    above, [`Disabled] when switched off for this store or process,
-    [`Hooked] when read hooks force the walk.  Provenance records this as
-    the read's cache outcome ([`Hooked] renders as "bypass"). *)
-
-val set_resolve_cache_enabled : t -> bool -> unit
-(** The per-store escape hatch ([--no-resolve-cache] sets the process
-    default instead, see {!Resolve_cache.set_default_enabled}). *)
-
-val invalidate_resolve_cache : t -> unit
-(** Global generation bump: drop every memoised resolution, and log
-    {!Ch_global}.  Exposed for layers whose mutations bypass the store's
-    write paths (schema evolution). *)
+val record_global_change : t -> unit
+(** Log {!Ch_global}, so every plan rebuilds.  Exposed for layers whose
+    mutations bypass the store's write paths (schema evolution). *)
 
 (** {1 Hooks}
 

@@ -126,9 +126,9 @@ val ratio_string : ?scale:float -> num:int -> den:int -> unit -> string
 
 (** {1 Exporters}
 
-    Registry names are dotted ([inheritance.cache.hit]); exported names
+    Registry names are dotted ([inheritance.resolve.depth]); exported names
     sanitize to the exposition grammar under a [compo_] prefix
-    ([compo_inheritance_cache_hit]). *)
+    ([compo_inheritance_resolve_depth]). *)
 
 val to_openmetrics : ?registry:registry -> unit -> string
 (** OpenMetrics text exposition of a fresh snapshot: counters as

@@ -1,11 +1,3 @@
-type cache_outcome = Hit | Miss | Bypass | Off
-
-let cache_outcome_to_string = function
-  | Hit -> "hit"
-  | Miss -> "miss"
-  | Bypass -> "bypass"
-  | Off -> "off"
-
 type hop_kind =
   | Local
   | Follow of {
@@ -22,7 +14,6 @@ type read = {
   r_object : string;
   r_attr : string;
   r_hops : hop list;
-  r_cache : cache_outcome;
   r_value : string;
   r_trace : string option;
 }
@@ -94,14 +85,13 @@ let abort_read () =
     flight.f_rev_hops <- []
   end
 
-let finish_read ~cache ~value =
+let finish_read ~value =
   if enabled () && flight.f_open then begin
     let r =
       {
         r_object = flight.f_object;
         r_attr = flight.f_attr;
         r_hops = List.rev flight.f_rev_hops;
-        r_cache = cache;
         r_value = value;
         r_trace = Trace.current_trace ();
       }
@@ -145,9 +135,8 @@ let pp_hops ppf hops =
   Format.pp_close_box ppf ()
 
 let pp_read ppf r =
-  Format.fprintf ppf "@[<v>read %s.%s = %s@,cache: %s@,source: %s%t@,chain:@,%a@]"
+  Format.fprintf ppf "@[<v>read %s.%s = %s@,source: %s%t@,chain:@,%a@]"
     r.r_object r.r_attr r.r_value
-    (cache_outcome_to_string r.r_cache)
     (match source_of r with Some s -> s | None -> "none (null)")
     (fun ppf ->
       match r.r_trace with

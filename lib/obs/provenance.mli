@@ -4,8 +4,7 @@
     relationship objects, each with its own permeability; this module
     captures {e why} a read returned what it did — the ordered
     transmitter chain walked, the relationship object and permeability
-    decision at every hop, whether the resolve cache served the read,
-    and the final source object.
+    decision at every hop, and the final source object.
 
     The collector is a process-global, explicitly enabled sink (like
     {!Metrics}/{!Trace}): while {!enabled} is [false] every recording
@@ -15,17 +14,6 @@
 
     Entities are identified by their rendered surrogates (strings), so
     this module stays below [compo_core] in the link order. *)
-
-(** How the resolve cache participated in the read. *)
-type cache_outcome =
-  | Hit  (** served from the memo table (the chain walk below reproduces
-             what the cached value was resolved from) *)
-  | Miss  (** walked the chain and filled the cache *)
-  | Bypass  (** cache active but not consulted: read hooks installed
-                (transactional reads must pay per-hop lock inheritance) *)
-  | Off  (** cache disabled for this store *)
-
-val cache_outcome_to_string : cache_outcome -> string
 
 (** What happened at one object of the chain. *)
 type hop_kind =
@@ -53,7 +41,6 @@ type read = {
   r_object : string;  (** surrogate the read started at *)
   r_attr : string;
   r_hops : hop list;
-  r_cache : cache_outcome;
   r_value : string;  (** rendering of the resolved value *)
   r_trace : string option;
       (** the wire-level trace id ({!Trace.current_trace}) active when
@@ -89,7 +76,7 @@ val configure_from_env : ?getenv:(string -> string option) -> unit -> unit
 
 val begin_read : origin:string -> attr:string -> unit
 val add_hop : hop -> unit
-val finish_read : cache:cache_outcome -> value:string -> unit
+val finish_read : value:string -> unit
 val abort_read : unit -> unit
 
 (** {1 Inspection (consumer side)} *)
@@ -108,4 +95,4 @@ val pp_hops : Format.formatter -> hop list -> unit
 (** The chain as an indented tree, one level per transmitter hop. *)
 
 val pp_read : Format.formatter -> read -> unit
-(** Full report: resolved value, cache outcome, source, chain tree. *)
+(** Full report: resolved value, source, chain tree. *)

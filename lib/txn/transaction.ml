@@ -82,7 +82,7 @@ let abort mg txn =
         (List.length txn.txn_undo));
   (* undo entries were prepended, so the list runs newest-first; each
      goes back through a store mutator, which logs its own precise change
-     record and drops exactly the resolve-cache entries it stales *)
+     record *)
   List.iter (fun undo -> undo ()) txn.txn_undo;
   txn.txn_undo <- [];
   txn.txn_written <- [];

@@ -13,44 +13,43 @@ module J = Compo_obs.Json_min
 
 let test_default_cells () =
   let cells = Cell.default_cells () in
-  check_bool "at least 18 cells" true (List.length cells >= 18);
+  check_bool "at least 10 cells" true (List.length cells >= 10);
   let ids = List.map Cell.id cells in
   let uniq = List.sort_uniq String.compare ids in
   check_int "ids are unique" (List.length cells) (List.length uniq);
   (* every cell binds every canonical axis, in canonical order *)
   List.iter
     (fun c ->
-      check_int "six axes" 6 (List.length (Cell.axes c));
+      check_int "five axes" 5 (List.length (Cell.axes c));
       check_string "canonical axis order"
-        "cache index compile delta prov fp"
+        "index compile delta prov fp"
         (String.concat " " (List.map fst (Cell.axes c))))
     cells;
   (* the curated blocks are all present *)
   let mem id = List.mem id ids in
   check_bool "baseline cell" true
-    (mem "cache=on index=on compile=on delta=on prov=off fp=off");
+    (mem "index=on compile=on delta=on prov=off fp=off");
   check_bool "full-ablation corner" true
-    (mem "cache=off index=off compile=off delta=on prov=on fp=off");
+    (mem "index=off compile=off delta=on prov=on fp=off");
   check_bool "armed-failpoint flip" true
-    (mem "cache=on index=on compile=on delta=on prov=off fp=armed");
+    (mem "index=on compile=on delta=on prov=off fp=armed");
   check_bool "delta-off flip" true
-    (mem "cache=on index=on compile=on delta=off prov=off fp=off")
+    (mem "index=on compile=on delta=off prov=off fp=off")
 
 let test_env_rendering () =
   let env pairs = Cell.env (Cell.make pairs) in
   let baseline =
-    [ ("cache", "on"); ("index", "on"); ("compile", "on"); ("delta", "on");
-      ("prov", "off"); ("fp", "off") ]
+    [ ("index", "on"); ("compile", "on"); ("delta", "on"); ("prov", "off");
+      ("fp", "off") ]
   in
   check_bool "baseline renders nothing" true (env baseline = []);
   let flipped =
-    [ ("cache", "off"); ("index", "off"); ("compile", "off");
-      ("delta", "off"); ("prov", "on"); ("fp", "armed") ]
+    [ ("index", "off"); ("compile", "off"); ("delta", "off"); ("prov", "on");
+      ("fp", "armed") ]
   in
   check_bool "every non-default value emits its switch" true
     (env flipped
     = [
-        ("COMPO_NO_RESOLVE_CACHE", "1");
         ("COMPO_NO_INDEX", "1");
         ("COMPO_NO_COMPILE", "1");
         ("COMPO_NO_DELTA", "1");
@@ -65,13 +64,13 @@ let test_env_rendering () =
 let test_product_and_dedup () =
   let axes =
     [
-      { Cell.ax_name = "cache"; ax_values = [ "on"; "off" ] };
+      { Cell.ax_name = "index"; ax_values = [ "on"; "off" ] };
       { Cell.ax_name = "prov"; ax_values = [ "off"; "on" ] };
     ]
   in
   let cells = Cell.product axes in
   check_int "2x2 product" 4 (List.length cells);
-  check_string "axis-major order" "cache=on prov=off"
+  check_string "axis-major order" "index=on prov=off"
     (Cell.id (List.hd cells));
   let doubled = Cell.dedup (cells @ cells) in
   check_int "dedup drops repeated ids" 4 (List.length doubled)
@@ -90,11 +89,10 @@ let row ?(outcome = Report.Ok_run) ?(wall = 1.0) ?(metrics = []) pairs =
   }
 
 let matrix rows =
-  { Report.m_smoke = true; m_cores = 1; m_suite = [ "E2"; "E15" ]; m_rows = rows }
+  { Report.m_smoke = true; m_cores = 1; m_suite = [ "E2"; "E9" ]; m_rows = rows }
 
 let baseline_pairs =
-  [ ("cache", "on"); ("index", "on"); ("compile", "on"); ("prov", "off");
-    ("fp", "off") ]
+  [ ("index", "on"); ("compile", "on"); ("prov", "off"); ("fp", "off") ]
 
 let with_axis axis v =
   List.map (fun (a, w) -> if a = axis then (a, v) else (a, w)) baseline_pairs
@@ -104,7 +102,7 @@ let test_report_roundtrip () =
     matrix
       [
         row baseline_pairs ~wall:0.75
-          ~metrics:[ ("e15.min_speedup", 2.5); ("eval.node", 123456.0) ];
+          ~metrics:[ ("index.lookup", 2.5); ("eval.node", 123456.0) ];
         row (with_axis "compile" "off")
           ~outcome:(Report.Skipped "cell needs 4 cores, runner has 1")
           ~wall:Float.nan;
@@ -130,12 +128,12 @@ let test_report_roundtrip () =
             | Some r -> r
             | None -> Alcotest.failf "row %S lost in round-trip" id
           in
-          let ok_row = get "cache=on index=on compile=on prov=off fp=off" in
+          let ok_row = get "index=on compile=on prov=off fp=off" in
           check_bool "metrics survive" true
             (ok_row.Report.r_metrics
-            = [ ("e15.min_speedup", 2.5); ("eval.node", 123456.0) ]);
+            = [ ("index.lookup", 2.5); ("eval.node", 123456.0) ]);
           check_bool "wall survives" true (ok_row.Report.r_wall_s = 0.75);
-          let skip_row = get "cache=on index=on compile=off prov=off fp=off" in
+          let skip_row = get "index=on compile=off prov=off fp=off" in
           (match skip_row.Report.r_outcome with
           | Report.Skipped reason ->
               check_string "skip reason survives"
@@ -143,7 +141,7 @@ let test_report_roundtrip () =
           | _ -> Alcotest.fail "skip outcome lost");
           check_bool "skipped wall reads back as nan" true
             (Float.is_nan skip_row.Report.r_wall_s);
-          match (get "cache=on index=on compile=on prov=on fp=off").Report.r_outcome with
+          match (get "index=on compile=on prov=on fp=off").Report.r_outcome with
           | Report.Failed reason ->
               check_string "failure detail survives escaping"
                 "exit 2: boom \"quoted\"" reason
@@ -326,7 +324,7 @@ let test_metrics_read_snapshot () =
 let suite =
   ( "benchmatrix",
     [
-      case "curated enumeration: 12+ unique, fully-bound cells"
+      case "curated enumeration: 10+ unique, fully-bound cells"
         test_default_cells;
       case "env rendering realises exactly the non-default axes"
         test_env_rendering;

@@ -64,6 +64,24 @@ let test_multi_hop_resolution () =
   let last = List.nth nodes 8 in
   check_value "deep chain read" (Value.Int 99) (ok (Database.get_attr db2 last "Payload"))
 
+(* C2 over a chain: a root update is visible on the next read of every
+   node below it, however recently each node was read. *)
+let test_update_visible_transitively () =
+  let db = Database.create () in
+  ok (W.chain_schema db ~depth:6);
+  let nodes = ok (W.chain_instance db ~depth:6 ~payload:7) in
+  List.iter
+    (fun n -> check_value "before" (Value.Int 7) (ok (Database.get_attr db n "Payload")))
+    nodes;
+  ok (Database.set_attr db (List.hd nodes) "Payload" (Value.Int 99));
+  List.iteri
+    (fun i n ->
+      check_value
+        (Printf.sprintf "node %d sees the update on the next read" i)
+        (Value.Int 99)
+        (ok (Database.get_attr db n "Payload")))
+    nodes
+
 (* C4: unbound inheritor = plain generalization (structure, no values). *)
 let test_unbound_inheritor () =
   let db = gates_db () in
@@ -179,6 +197,21 @@ let test_unbind_loses_values () =
   (* can rebind afterwards *)
   let _ = ok (Database.bind db ~via:"AllOf_GateInterface" ~transmitter:iface ~inheritor:impl ()) in
   check_value "values back" (Value.Int 4) (ok (Database.get_attr db impl "Length"))
+
+(* A read just before the unbind must not leak into the read just after. *)
+let test_unbind_reads_null () =
+  let db = gates_db () in
+  let iface = ok (G.nor_interface db) in
+  let impl = ok (G.new_implementation db ~interface:iface ()) in
+  check_value "bound read" (Value.Int 4) (ok (Database.get_attr db impl "Length"));
+  ok (Database.unbind db impl);
+  check_value "read right after unbind is Null, not the earlier value" Value.Null
+    (ok (Database.get_attr db impl "Length"));
+  let _ =
+    ok (Database.bind db ~via:"AllOf_GateInterface" ~transmitter:iface ~inheritor:impl ())
+  in
+  check_value "rebinding restores the inherited value" (Value.Int 4)
+    (ok (Database.get_attr db impl "Length"))
 
 let test_delete_transmitter_restricted () =
   let db = gates_db () in
@@ -386,10 +419,13 @@ let suite =
       case "staleness stamping (C7)" test_staleness_stamping;
       case "staleness transitive through permeable links" test_staleness_transitive;
       case "unbind loses values, rebind restores" test_unbind_loses_values;
+      case "unbind reads Null immediately" test_unbind_reads_null;
       case "deleting a transmitter is restricted" test_delete_transmitter_restricted;
       case "inheritors and closures" test_inheritors_and_closures;
       case "materialized copy goes stale (E1 baseline)" test_materialize_baseline;
       QCheck_alcotest.to_alcotest prop_selective_permeability;
       QCheck_alcotest.to_alcotest prop_view_always_fresh;
       case "links carry attributes and subobjects (section 4.1)" test_link_subobjects;
+      case "transmitter update visible in all transitive inheritors"
+        test_update_visible_transitively;
     ] )

@@ -1,4 +1,4 @@
-(* Provenance of inherited reads (the chain/permeability/cache record
+(* Provenance of inherited reads (the chain/permeability/source record
    behind [compo explain read]) and the query plan report behind
    [compo explain query]. *)
 
@@ -51,29 +51,6 @@ let test_chain_and_permeability () =
   check_bool "source is the interface" true
     (Prov.source_of r = Some (Surrogate.to_string iface))
 
-let test_cache_outcomes () =
-  let db = gates_db () in
-  let _iface, impl = bound_gate db in
-  let store = Database.store db in
-  let _, r1 = ok (Database.explain_attr db impl "Length") in
-  check_string "first read misses" "miss"
-    (Prov.cache_outcome_to_string r1.Prov.r_cache);
-  let _, r2 = ok (Database.explain_attr db impl "Length") in
-  check_string "second read hits" "hit"
-    (Prov.cache_outcome_to_string r2.Prov.r_cache);
-  check_int "a hit still explains the full chain" 2
-    (List.length r2.Prov.r_hops);
-  (* read hooks (lock inheritance) bypass the cache *)
-  let hook = Store.add_read_hook store (fun _ -> ()) in
-  let _, r3 = ok (Database.explain_attr db impl "Length") in
-  Store.remove_hook store hook;
-  check_string "hooked read bypasses" "bypass"
-    (Prov.cache_outcome_to_string r3.Prov.r_cache);
-  Store.set_resolve_cache_enabled store false;
-  let _, r4 = ok (Database.explain_attr db impl "Length") in
-  check_string "disabled cache reports off" "off"
-    (Prov.cache_outcome_to_string r4.Prov.r_cache)
-
 let test_unbound_reads_null () =
   let db = gates_db () in
   let _iface, impl = bound_gate db in
@@ -89,7 +66,7 @@ let test_collector_mechanics () =
   Prov.enable ();
   (* recording without a flight is a no-op *)
   Prov.add_hop { Prov.hop_object = "@0"; hop_type = "T"; hop_kind = Prov.Local };
-  Prov.finish_read ~cache:Prov.Off ~value:"x";
+  Prov.finish_read ~value:"x";
   check_bool "nothing recorded without begin_read" true (Prov.last () = None);
   (* abort drops the flight *)
   Prov.begin_read ~origin:"@1" ~attr:"A";
@@ -98,7 +75,7 @@ let test_collector_mechanics () =
   (* the recent ring clips to 64, newest first *)
   for i = 1 to 70 do
     Prov.begin_read ~origin:(Printf.sprintf "@%d" i) ~attr:"A";
-    Prov.finish_read ~cache:Prov.Off ~value:"v"
+    Prov.finish_read ~value:"v"
   done;
   let recent = Prov.recent () in
   check_int "recent clips to 64" 64 (List.length recent);
@@ -116,7 +93,7 @@ let test_disabled_records_nothing () =
 
 let test_pp_read () =
   let db = gates_db () in
-  let _iface, impl = bound_gate db in
+  let iface, impl = bound_gate db in
   let _, r = ok (Database.explain_attr db impl "Length") in
   let rendered = Format.asprintf "%a" Prov.pp_read r in
   List.iter
@@ -125,7 +102,7 @@ let test_pp_read () =
         (contains rendered needle))
     [
       "read " ^ Surrogate.to_string impl ^ ".Length = 4";
-      "cache: miss";
+      "source: " ^ Surrogate.to_string iface;
       "via AllOf_GateInterface";
       "permeability: inherits";
       "-> transmitter";
@@ -283,8 +260,6 @@ let suite =
     [
       case "chain and permeability over the gates binding"
         (with_prov test_chain_and_permeability);
-      case "cache outcomes: miss, hit, bypass, off"
-        (with_prov test_cache_outcomes);
       case "unbound chain ends in Null with no source"
         (with_prov test_unbound_reads_null);
       case "collector mechanics: abort, clipping, disable clears"

@@ -27,9 +27,7 @@
      of its own writes) see the replayed state at its commit, and at
      the end every object read back over the wire equals the replayed
      one, with no aborted value left;
-   - the store's invariants and the plan's self-check hold, and the
-     resolve cache served the autocommit reads (lookups > 0) with every
-     lookup counted as a hit or a miss.
+   - the store's invariants and the plan's self-check hold.
 
    Exits non-zero on any violation.  [--seed N] fixes the operation
    mix (interleavings still vary); the seed is printed. *)
@@ -494,13 +492,6 @@ let () =
         members)
     rchains;
 
-  let lookups = Resolve_cache.lookups ()
-  and hits = Resolve_cache.hits ()
-  and misses = Resolve_cache.misses () in
-  if lookups = 0 then failf "no read consulted the resolve cache";
-  if lookups <> hits + misses then
-    failf "cache accounting drifted: %d lookups <> %d hits + %d misses" lookups
-      hits misses;
   (* the run exercised what it claims to check *)
   if !commits = 0 then failf "no transaction committed";
   if !aborts = 0 then failf "no transaction aborted";
@@ -520,9 +511,8 @@ let () =
     "server-stress: seed %d, %d sessions, %d requests in %.2f s, %d commit(s), \
      %d abort(s), %d refused (lock conflicts), %d transactional read(s) of \
      other sessions' chains, %d refused shared write(s), %d committed shared \
-     read(s) replayed, %d select(s), %d lookups = %d hits + %d misses, %d \
-     failure(s)\n"
+     read(s) replayed, %d select(s), %d failure(s)\n"
     seed sessions !requests wall !commits !aborts !conflicts !other_reads
-    !shared_refused !shared_reads !selects lookups hits misses !failures;
+    !shared_refused !shared_reads !selects !failures;
   Metrics.disable ();
   exit (if !failures > 0 then 1 else 0)

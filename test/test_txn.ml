@@ -3,6 +3,7 @@ open Compo_txn
 open Helpers
 module G = Compo_scenarios.Gates
 module T = Transaction
+module W = Compo_scenarios.Workload
 
 let setup () =
   let db = gates_db () in
@@ -433,6 +434,50 @@ let test_read_locks_equal_attr_lock_set () =
       ok (T.commit mg t1))
     [ 0; 2; 8; 16 ]
 
+(* Unbinding inside a transaction takes the inherited values away at
+   once, for the transaction and for plain reads alike. *)
+let test_unbind_in_txn_reads_null () =
+  let db, mg = setup () in
+  let iface = ok (G.nor_interface db) in
+  let impl = ok (G.new_implementation db ~interface:iface ()) in
+  check_value "bound read" (Value.Int 4) (ok (Database.get_attr db impl "Length"));
+  let t = T.begin_txn mg ~user:"alice" in
+  ok (T.unbind mg t impl);
+  check_value "transactional read after unbind" Value.Null
+    (ok (T.get_attr mg t impl "Length"));
+  check_value "plain read after unbind" Value.Null
+    (ok (Database.get_attr db impl "Length"));
+  ok (T.commit mg t);
+  check_value "read after commit stays Null" Value.Null
+    (ok (Database.get_attr db impl "Length"))
+
+(* A plain read between a transactional write and its abort sees the
+   in-flight value; after the abort, inheritors one and two hops down
+   read the pre-transaction value again. *)
+let test_abort_never_serves_aborted_values () =
+  let db, mg = setup () in
+  let iface = ok (G.nor_interface db) in
+  let impl = ok (G.new_implementation db ~interface:iface ()) in
+  let t = T.begin_txn mg ~user:"alice" in
+  ok (T.set_attr mg t iface "Length" (Value.Int 9));
+  check_value "plain read sees the in-flight value" (Value.Int 9)
+    (ok (Database.get_attr db impl "Length"));
+  ok (T.abort mg t);
+  check_value "read after abort serves the pre-transaction value" (Value.Int 4)
+    (ok (Database.get_attr db impl "Length"));
+  let db = Database.create () in
+  ok (W.chain_schema db ~depth:2);
+  let nodes = ok (W.chain_instance db ~depth:2 ~payload:7) in
+  let root = List.hd nodes and leaf = List.nth nodes 2 in
+  let mg = T.create_manager (Database.store db) in
+  let t = T.begin_txn mg ~user:"alice" in
+  ok (T.set_attr mg t root "Payload" (Value.Int 99));
+  check_value "plain read two hops down sees the in-flight value" (Value.Int 99)
+    (ok (Database.get_attr db leaf "Payload"));
+  ok (T.abort mg t);
+  check_value "leaf read after abort serves the pre-transaction value" (Value.Int 7)
+    (ok (Database.get_attr db leaf "Payload"))
+
 let suite =
   ( "txn",
     [
@@ -459,4 +504,6 @@ let suite =
       case "rights re-checked on held locks" test_rights_rechecked_on_held_locks;
       case "read locks equal attr_lock_set (depth 0-16)" test_read_locks_equal_attr_lock_set;
       case "a refused write leaves no trace" test_refused_write_leaves_no_trace;
+      case "unbind inside a transaction reads Null" test_unbind_in_txn_reads_null;
+      case "abort never serves aborted values" test_abort_never_serves_aborted_values;
     ] )
